@@ -104,14 +104,20 @@ def _split_spec(settings: Settings) -> SplitSpec:
     return SplitSpec(train=fr[0], valid=fr[1], test=fr[2], seed=settings.get("seed"))
 
 
-def _load_and_split(settings: Settings) -> tuple[Dataset, Dataset, Dataset, Dataset]:
+def _load_and_split(
+    settings: Settings, params: ModelParams | None = None
+) -> tuple[Dataset, Dataset, Dataset, Dataset]:
+    """Load and split --data; with a checkpoint's `params`, first check that
+    the checkpoint embeds every feature id of the data."""
     dataset = data_mod.load_dataset(settings.args.data)
+    if params is not None:
+        model_mod.check_vocabulary(params, dataset)
     train_ds, valid_ds, test_ds = data_mod.split(dataset, _split_spec(settings))
     return dataset, train_ds, valid_ds, test_ds
 
 
-def _pick_split(settings: Settings) -> Dataset:
-    dataset, train_ds, valid_ds, test_ds = _load_and_split(settings)
+def _pick_split(settings: Settings, params: ModelParams) -> Dataset:
+    dataset, train_ds, valid_ds, test_ds = _load_and_split(settings, params)
     name = settings.get("split_name")
     table = {"train": train_ds, "valid": valid_ds, "test": test_ds, "all": dataset}
     if name not in table:
@@ -226,7 +232,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     settings = Settings(args)
     params, _ = model_mod.load_checkpoint(args.checkpoint)
-    part = _pick_split(settings)
+    part = _pick_split(settings, params)
     metrics = evaluate.evaluate_dataset(part, params, binary_gates=args.binary_gates)
     report = evaluate.edge_report(part, params, threshold=settings.get("threshold"))
     print(
@@ -255,7 +261,7 @@ def cmd_ablate(args) -> int:
     settings = Settings(args)
     out = _out_dir(args)
     params, _ = model_mod.load_checkpoint(args.checkpoint)
-    _, train_ds, valid_ds, test_ds = _load_and_split(settings)
+    _, train_ds, valid_ds, test_ds = _load_and_split(settings, params)
     kwargs = {}
     if getattr(args, "ablate_epochs", None) is not None:
         kwargs["epochs"] = args.ablate_epochs
@@ -280,7 +286,7 @@ def cmd_explain(args) -> int:
     settings = Settings(args)
     out = _out_dir(args)
     params, _ = model_mod.load_checkpoint(args.checkpoint)
-    part = _pick_split(settings)
+    part = _pick_split(settings, params)
     count = min(settings.get("count"), len(part))
     explanations = [
         evaluate.explain(part.instances[n], params, instance_id=n) for n in range(count)

@@ -150,6 +150,8 @@ def parse_line(line: str, line_number: int | None = None) -> Instance:
             fail(f"bad feature token {tok!r}")
         if idx < 0:
             fail(f"negative feature index in token {tok!r}")
+        if not math.isfinite(val):
+            fail(f"non-finite feature value in token {tok!r}")
         if idx in seen:
             fail(f"duplicate feature index {idx}")
         seen.add(idx)

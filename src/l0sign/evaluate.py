@@ -104,12 +104,7 @@ def score_dataset(
 ) -> np.ndarray:
     """Raw scores for every instance; graded deterministic gates by default,
     thresholded 0/1 gates when `binary_gates` is set."""
-    return np.asarray(
-        [
-            model_mod.score_only(inst, params, binary_gates=binary_gates)
-            for inst in dataset.instances
-        ]
-    )
+    return model_mod.score_many(dataset.instances, params, binary_gates=binary_gates)
 
 
 def evaluate_dataset(

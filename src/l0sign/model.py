@@ -10,20 +10,25 @@ its pairs with soft-degree normalization, is rescaled by its feature
 value, read out through a weight vector, and the node readouts are
 averaged into the raw score. The gradient pass mirrors this fixed shape
 in reverse using the numcore rules.
+
+One engine (`forward_batch` / `backward`) runs both passes over a flat
+pair-slot layout of many instances (`PairLayout`): each MLP is one matmul
+over all slots, and node and instance reductions are segment sums. The
+per-instance `forward` is its batch of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import gates, numcore as nc
-from .data import Instance
+from .data import Dataset, Instance
 from .gates import GateBatch, GateConfig
 
 DEGREE_EPS = 1e-8  # soft-degree floor in the aggregation denominator
@@ -167,15 +172,167 @@ def pair_count(k: int) -> int:
     return k * (k + 1) // 2
 
 
+@lru_cache(maxsize=16)
+def _pair_tables(k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row k holds pair_slots(k) in its first pair_count(k) columns."""
+    ti = np.zeros((k_max + 1, pair_count(k_max)), dtype=np.int64)
+    tj = np.zeros_like(ti)
+    for k in range(1, k_max + 1):
+        pi, pj = pair_slots(k)
+        ti[k, : pi.shape[0]] = pi
+        tj[k, : pj.shape[0]] = pj
+    return ti, tj
+
+
+_PAIR_CODE_BASE = 2**31  # pair codes hold feature ids below this, in int64
+
+# Pair slots per engine pass in the batched callers (training risk,
+# validation, dataset scoring). The live forward and reverse arrays take
+# about 3 KB per slot, and the largest are slots x hidden_dim floats; past
+# a few hundred slots the per-pass Python overhead is already small next to
+# the arithmetic. Measured with the benchmark: 256 slots keep its peak RSS
+# within about 5% of the per-instance loop's, while 512 (128 KB hidden
+# arrays, the allocator's mmap threshold) adds about 7.5%.
+CHUNK_SLOTS = 256
+
+
+@dataclass(frozen=True, eq=False)
+class PairLayout:
+    """Flat pair-slot layout of a batch of instances.
+
+    Nodes of all instances are concatenated; every unordered node pair of
+    an instance (self-pairs included, lexicographic order within the
+    instance) is one slot that addresses two global node indices
+    `slot_i <= slot_j`. Node and instance reductions are segment sums over
+    `node_instance` / `slot_instance` and the gather lists below.
+    """
+
+    instances: tuple[Instance, ...]
+    ids: np.ndarray  # (N,) feature id of each node
+    values: np.ndarray  # (N,) feature value of each node
+    counts: np.ndarray  # (B,) nodes per instance
+    node_instance: np.ndarray  # (N,)
+    slot_instance: np.ndarray  # (S,)
+    slot_i: np.ndarray  # (S,)
+    slot_j: np.ndarray  # (S,)
+    offdiag: np.ndarray  # (S,) slot_i != slot_j
+    # the gated aggregation: every slot enters its first end, off-diagonal
+    # slots also their second end; term t adds slot gather_sources[t] into
+    # node gather_targets[t]
+    gather_targets: np.ndarray
+    gather_sources: np.ndarray
+
+    @classmethod
+    def of(cls, instances: Iterable[Instance]) -> "PairLayout":
+        instances = tuple(instances)
+        if len(instances) == 1:
+            inst = instances[0]
+            return cls(instances, inst.node_array, inst.value_array, *_single_layout(inst.n_nodes))
+        if not instances:
+            raise ValueError("a pair layout needs at least one instance")
+        counts = np.fromiter((inst.n_nodes for inst in instances), np.int64, len(instances))
+        slot_counts = counts * (counts + 1) // 2
+        batch = np.arange(len(instances))
+        slot_instance = np.repeat(batch, slot_counts)
+        # slot s is local pair number `local` of its instance, whose nodes
+        # start at `offset` in the concatenated node arrays
+        first_slot = np.cumsum(slot_counts) - slot_counts
+        local = np.arange(slot_instance.shape[0]) - first_slot[slot_instance]
+        offset = (np.cumsum(counts) - counts)[slot_instance]
+        ti, tj = _pair_tables(int(counts.max()))
+        k_of_slot = counts[slot_instance]
+        slot_i = ti[k_of_slot, local] + offset
+        slot_j = tj[k_of_slot, local] + offset
+        return cls(
+            instances,
+            np.concatenate([inst.node_array for inst in instances]),
+            np.concatenate([inst.value_array for inst in instances]),
+            counts,
+            np.repeat(batch, counts),
+            slot_instance,
+            slot_i,
+            slot_j,
+            *_gather_lists(slot_i, slot_j),
+        )
+
+    def pair_codes(self) -> np.ndarray:
+        """Code ids[i] * 2**31 + ids[j] of each slot's feature pair."""
+        return self.ids[self.slot_i] * _PAIR_CODE_BASE + self.ids[self.slot_j]
+
+
+def _gather_lists(slot_i: np.ndarray, slot_j: np.ndarray):
+    """(offdiag, gather_targets, gather_sources) of PairLayout."""
+    off = slot_i != slot_j
+    targets = np.concatenate((slot_i, slot_j[off]))
+    sources = np.concatenate((np.arange(slot_i.shape[0]), np.flatnonzero(off)))
+    return off, targets, sources
+
+
+@lru_cache(maxsize=256)
+def _single_layout(k: int) -> tuple:
+    """PairLayout fields after (ids, values) for one instance of k nodes."""
+    slot_i, slot_j = pair_slots(k)
+    off, targets, sources = _gather_lists(slot_i, slot_j)
+    fields = (
+        np.array([k]), np.zeros(k, dtype=np.int64), np.zeros(slot_i.shape[0], dtype=np.int64),
+        slot_i, slot_j, off, targets, sources,
+    )
+    for arr in fields:
+        arr.setflags(write=False)
+    return fields
+
+
+def chunk_layouts(instances: Sequence[Instance]) -> Iterator[tuple[int, PairLayout]]:
+    """Layouts of consecutive runs of `instances` with at most CHUNK_SLOTS
+    pair slots each (a larger instance gets a run of its own), with the
+    position of each run's first instance."""
+    n = len(instances)
+    if n == 0:
+        return
+    ks = np.fromiter((inst.n_nodes for inst in instances), np.int64, n)
+    ends = np.cumsum(ks * (ks + 1) // 2)
+    start = 0
+    while start < n:
+        used = ends[start - 1] if start else 0
+        stop = max(int(np.searchsorted(ends, used + CHUNK_SLOTS, side="right")), start + 1)
+        yield start, PairLayout.of(instances[start:stop])
+        start = stop
+
+
+def edge_codes(edge_set: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Sorted pair codes (see `PairLayout.pair_codes`) of an edge set of
+    unordered feature-id pairs; pairs with an id outside [0, 2**31) can
+    never match a slot and are dropped. Self edges must be listed as (i, i).
+    Frozen sets, the form training configs carry, are compiled once."""
+    if isinstance(edge_set, frozenset):
+        return _frozen_edge_codes(edge_set)
+    pairs = np.asarray(list(edge_set), dtype=np.int64).reshape(-1, 2)
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    keep = (lo >= 0) & (hi < _PAIR_CODE_BASE)
+    return np.unique(lo[keep] * _PAIR_CODE_BASE + hi[keep])
+
+
+@lru_cache(maxsize=64)
+def _frozen_edge_codes(edge_set: frozenset) -> np.ndarray:
+    codes = edge_codes(tuple(edge_set))
+    codes.setflags(write=False)
+    return codes
+
+
+def pinned_edges(layout: PairLayout, codes: np.ndarray) -> np.ndarray:
+    """Per-slot 0/1 gate values: 1 where the slot's feature pair is in the
+    edge set compiled by `edge_codes`."""
+    query = layout.pair_codes()
+    if codes.shape[0] == 0:
+        return np.zeros(query.shape[0])
+    pos = np.minimum(np.searchsorted(codes, query), codes.shape[0] - 1)
+    return (codes[pos] == query).astype(np.float64)
+
+
 def edges_for_instance(instance: Instance, edge_set: Iterable[tuple[int, int]]) -> np.ndarray:
     """Per-slot 0/1 gate values: slot (a, b) is 1 iff the unordered feature
     pair is in edge_set. Self edges must be listed explicitly as (i, i)."""
-    normalized = {(min(i, j), max(i, j)) for i, j in edge_set}
-    pi, pj = pair_slots(instance.n_nodes)
-    ids = instance.node_array
-    return np.asarray(
-        [1.0 if (int(ids[a]), int(ids[b])) in normalized else 0.0 for a, b in zip(pi, pj)]
-    )
+    return pinned_edges(PairLayout.of((instance,)), edge_codes(edge_set))
 
 
 def complete_edges(instance: Instance, include_self: bool = True) -> np.ndarray:
@@ -185,39 +342,62 @@ def complete_edges(instance: Instance, include_self: bool = True) -> np.ndarray:
     return (pi != pj).astype(np.float64)
 
 
+def _segment_sum(values: np.ndarray, segments: np.ndarray, n: int) -> np.ndarray:
+    """Rows of `values` summed into `n` segments, each row added in order."""
+    if values.ndim == 1:
+        return np.bincount(segments, weights=values, minlength=n)
+    d = values.shape[1]
+    flat = (segments[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
+
+
 @dataclass
 class Forward:
-    """Every intermediate of one instance forward pass, kept for the
-    reverse pass and for explanations."""
+    """Every intermediate of one engine pass over a batch, kept for the
+    reverse pass and for explanations. Node arrays are indexed like
+    `layout.ids`, slot arrays like `layout.slot_i`."""
 
-    instance: Instance
-    mode: str  # "stochastic" | "deterministic" | "pinned"
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    offdiag: np.ndarray
-    edge_vecs: np.ndarray | None  # (k, edge_dim), None when pinned
-    node_vecs: np.ndarray  # (k, d) value-scaled embeddings u_i
+    layout: PairLayout
+    mode: str  # "stochastic" | "deterministic" | "binary" | "pinned"
+    edge_vecs: np.ndarray | None  # (N, edge_dim), None when pinned
+    node_vecs: np.ndarray  # (N, d) value-scaled embeddings u_i
     edge_prod: np.ndarray | None
     edge_pre: np.ndarray | None
     edge_act: np.ndarray | None
     log_alpha: np.ndarray | None
     gate: GateBatch | None  # None when pinned
-    edge_values: np.ndarray  # (P,) gate values actually used
+    edge_values: np.ndarray  # (S,) gate values actually used
     pair_prod: np.ndarray
     pair_pre: np.ndarray
     pair_act: np.ndarray
-    interactions: np.ndarray  # (P, d) pair MLP outputs
-    node_sum: np.ndarray  # (k, d) gated sums
-    soft_degree: np.ndarray  # (k,)
-    denom: np.ndarray  # (k,) max(soft_degree, DEGREE_EPS) or the override
+    interactions: np.ndarray  # (S, d) pair MLP outputs
+    node_sum: np.ndarray  # (N, d) gated sums
+    soft_degree: np.ndarray  # (N,)
+    denom: np.ndarray  # (N,) max(soft_degree, DEGREE_EPS) or the override
     degree_overridden: bool
-    node_update: np.ndarray  # (k, d) v'_i
-    node_readout: np.ndarray  # (k,)
-    score: float
+    node_update: np.ndarray  # (N, d) v'_i
+    node_readout: np.ndarray  # (N,)
+    scores: np.ndarray  # (B,)
+
+    def _single(self) -> None:
+        if len(self.layout.instances) != 1:
+            raise ValueError(
+                f"trace covers {len(self.layout.instances)} instances; use its arrays"
+            )
+
+    @property
+    def instance(self) -> Instance:
+        self._single()
+        return self.layout.instances[0]
+
+    @property
+    def score(self) -> float:
+        self._single()
+        return float(self.scores[0])
 
 
-def forward(
-    instance: Instance,
+def forward_batch(
+    layout: PairLayout,
     params: ModelParams,
     *,
     noise: np.ndarray | None = None,
@@ -225,25 +405,23 @@ def forward(
     degree_override: np.ndarray | None = None,
     binary_gates: bool = False,
 ) -> Forward:
-    """Run the fixed computation shape once.
+    """Run the fixed computation shape over every pair slot of a layout.
 
-    Gate source: `pinned_edges` fixes the per-slot gate values and skips the
-    edge MLP entirely; otherwise gates come from the edge MLP, stochastic
-    when `noise` (per-slot uniforms) is given, deterministic when not.
-    `binary_gates` thresholds the deterministic gate to exact 0/1 values, an
-    evaluation-only variant with no gradient path.
+    Gate source: `pinned_edges` (per slot) fixes the gate values and skips
+    the edge MLP entirely; otherwise gates come from the edge MLP,
+    stochastic when `noise` (per-slot uniforms) is given, deterministic
+    when not. `binary_gates` thresholds the deterministic gate to exact 0/1
+    values, an evaluation-only variant with no gradient path.
+    `degree_override` (per node) replaces the aggregation denominators.
     """
     if binary_gates and noise is not None:
         raise ValueError("binary gates are an evaluation option; drop the noise argument")
     if binary_gates and pinned_edges is not None:
         raise ValueError("binary gates need predicted logits; got pinned edges")
     cfg = params.config
-    ids = instance.node_array
-    x = instance.value_array
-    k = instance.n_nodes
-    pi, pj = pair_slots(k)
-    n_slots = pi.shape[0]
-    offdiag = pi != pj
+    ids, x = layout.ids, layout.values
+    gi, gj = layout.slot_i, layout.slot_j
+    n_nodes, n_slots = ids.shape[0], gi.shape[0]
 
     node_vecs = x[:, None] * params.value("node_embed")[ids]
 
@@ -257,7 +435,7 @@ def forward(
         edge_values = pinned
     else:
         edge_vecs = params.value("edge_embed")[ids]
-        edge_prod = nc.elementwise_product(edge_vecs[pi], edge_vecs[pj])
+        edge_prod = nc.elementwise_product(edge_vecs[gi], edge_vecs[gj])
         edge_pre = nc.linear(params.value("edge_hidden_w"), edge_prod, params.value("edge_hidden_b"))
         edge_act = nc.relu(edge_pre)
         log_alpha = nc.linear(params.value("edge_out_w"), edge_act, params.value("edge_out_b"))[:, 0]
@@ -274,23 +452,21 @@ def forward(
             gate = gates.deterministic_batch(log_alpha, cfg.gate)
         edge_values = gate.value
 
-    pair_prod = nc.elementwise_product(node_vecs[pi], node_vecs[pj])
+    pair_prod = nc.elementwise_product(node_vecs[gi], node_vecs[gj])
     pair_pre = nc.linear(params.value("pair_hidden_w"), pair_prod, params.value("pair_hidden_b"))
     pair_act = nc.relu(pair_pre)
     interactions = nc.linear(params.value("pair_out_w"), pair_act, params.value("pair_out_b"))
 
+    # each slot enters its first end, off-diagonal slots also their second
+    targets, sources = layout.gather_targets, layout.gather_sources
     gated = edge_values[:, None] * interactions
-    node_sum = np.zeros((k, cfg.interaction_dim))
-    np.add.at(node_sum, pi, gated)
-    np.add.at(node_sum, pj[offdiag], gated[offdiag])
-    soft_degree = np.zeros(k)
-    np.add.at(soft_degree, pi, edge_values)
-    np.add.at(soft_degree, pj[offdiag], edge_values[offdiag])
+    node_sum = _segment_sum(gated[sources], targets, n_nodes)
+    soft_degree = _segment_sum(edge_values[sources], targets, n_nodes)
 
     if degree_override is not None:
         denom = np.asarray(degree_override, dtype=np.float64)
-        if denom.shape != (k,):
-            raise nc.ShapeError(f"degree override shape {denom.shape}, expected ({k},)")
+        if denom.shape != (n_nodes,):
+            raise nc.ShapeError(f"degree override shape {denom.shape}, expected ({n_nodes},)")
         overridden = True
     else:
         denom = np.maximum(soft_degree, DEGREE_EPS)
@@ -299,14 +475,12 @@ def forward(
     node_update = node_sum / denom[:, None]
     scaled = x[:, None] * node_update
     node_readout = nc.linear(params.value("readout")[None, :], scaled, np.zeros(1))[:, 0]
-    score = float(node_readout.mean())
+    n_instances = layout.counts.shape[0]
+    scores = _segment_sum(node_readout, layout.node_instance, n_instances) / layout.counts
 
     return Forward(
-        instance=instance,
+        layout=layout,
         mode=mode,
-        pair_i=pi,
-        pair_j=pj,
-        offdiag=offdiag,
         edge_vecs=edge_vecs,
         node_vecs=node_vecs,
         edge_prod=edge_prod,
@@ -325,33 +499,55 @@ def forward(
         degree_overridden=overridden,
         node_update=node_update,
         node_readout=node_readout,
-        score=score,
+        scores=scores,
+    )
+
+
+def forward(
+    instance: Instance,
+    params: ModelParams,
+    *,
+    noise: np.ndarray | None = None,
+    pinned_edges: np.ndarray | None = None,
+    degree_override: np.ndarray | None = None,
+    binary_gates: bool = False,
+) -> Forward:
+    """`forward_batch` over one instance: the arrays hold one value per pair
+    slot (`pair_slots` order) or per node of this instance."""
+    return forward_batch(
+        PairLayout.of((instance,)), params, noise=noise, pinned_edges=pinned_edges,
+        degree_override=degree_override, binary_gates=binary_gates,
     )
 
 
 def backward(
     trace: Forward,
     params: ModelParams,
-    d_score: float,
+    d_score,
     *,
     d_interactions: np.ndarray | None = None,
     d_log_alpha: np.ndarray | None = None,
 ) -> None:
-    """Accumulate gradients of (d_score * score + extras) into the store.
+    """Accumulate gradients of (sum_b d_score[b] * score[b] + extras) into
+    the store; `d_score` is one value per instance, or a scalar for all.
 
     `d_interactions` and `d_log_alpha` are direct penalty gradients applied
     at the interaction vectors and gate locations (already scaled by the
     caller). Pinned-edge traces leave the edge side untouched.
     """
+    if trace.mode == "pinned" and d_log_alpha is not None:
+        raise ValueError("log_alpha gradient supplied for a pinned-edge trace")
+    if trace.mode == "binary":
+        raise ValueError("binary-gate traces are evaluation-only; no gradient exists")
     store = params.store
-    inst = trace.instance
-    ids = inst.node_array
-    x = inst.value_array
-    k = inst.n_nodes
-    pi, pj, off = trace.pair_i, trace.pair_j, trace.offdiag
+    lay = trace.layout
+    ids, x = lay.ids, lay.values
+    gi, gj, off = lay.slot_i, lay.slot_j, lay.offdiag
+    n_nodes = ids.shape[0]
+    both_ends = np.concatenate((gi, gj))
 
-    # score = mean of node readouts; readout row r_i = readout . (x_i v'_i)
-    g_node_readout = np.full(k, d_score / k)
+    # score = mean of its node readouts; readout row r_i = readout . (x_i v'_i)
+    g_node_readout = (np.asarray(d_score, dtype=np.float64) / lay.counts)[lay.node_instance]
     scaled = x[:, None] * trace.node_update
     g_w, g_scaled, _ = nc.linear_backward(
         params.value("readout")[None, :], scaled, g_node_readout[:, None]
@@ -362,15 +558,15 @@ def backward(
     # node_update = node_sum / denom
     g_node_sum = g_node_update / trace.denom[:, None]
     if trace.degree_overridden:
-        g_soft_degree = np.zeros(k)
+        g_soft_degree = np.zeros(n_nodes)
     else:
         g_denom = -(g_node_update * trace.node_sum).sum(axis=1) / trace.denom**2
         g_soft_degree = np.where(trace.soft_degree > DEGREE_EPS, g_denom, 0.0)
 
     # node_sum gathers gated interactions into both endpoint nodes
-    g_gated = g_node_sum[pi] + np.where(off[:, None], g_node_sum[pj], 0.0)
+    g_gated = g_node_sum[gi] + np.where(off[:, None], g_node_sum[gj], 0.0)
     g_edge_values = (g_gated * trace.interactions).sum(axis=1)
-    g_edge_values += g_soft_degree[pi] + np.where(off, g_soft_degree[pj], 0.0)
+    g_edge_values += g_soft_degree[gi] + np.where(off, g_soft_degree[gj], 0.0)
     g_interactions = trace.edge_values[:, None] * g_gated
     if d_interactions is not None:
         g_interactions = g_interactions + d_interactions
@@ -388,22 +584,14 @@ def backward(
     store.accumulate("pair_hidden_w", g_w)
     store.accumulate("pair_hidden_b", g_b)
     g_ui, g_uj = nc.elementwise_product_backward(
-        trace.node_vecs[pi], trace.node_vecs[pj], g_pair_prod
+        trace.node_vecs[gi], trace.node_vecs[gj], g_pair_prod
     )
-    g_node_vecs = np.zeros_like(trace.node_vecs)
-    np.add.at(g_node_vecs, pi, g_ui)
-    np.add.at(g_node_vecs, pj, g_uj)
-    g_embed = np.zeros_like(store.value("node_embed"))
-    np.add.at(g_embed, ids, x[:, None] * g_node_vecs)
-    store.accumulate("node_embed", g_embed)
+    g_node_vecs = _segment_sum(np.concatenate((g_ui, g_uj)), both_ends, n_nodes)
+    np.add.at(store.grad("node_embed"), ids, x[:, None] * g_node_vecs)
 
     # edge side (absent for pinned gates)
     if trace.mode == "pinned":
-        if d_log_alpha is not None:
-            raise ValueError("log_alpha gradient supplied for a pinned-edge trace")
         return
-    if trace.mode == "binary":
-        raise ValueError("binary-gate traces are evaluation-only; no gradient exists")
     if trace.mode == "stochastic":
         gate_grad = gates.grad_log_alpha(trace.gate, params.config.gate)
     else:
@@ -424,14 +612,28 @@ def backward(
     store.accumulate("edge_hidden_w", g_w)
     store.accumulate("edge_hidden_b", g_b)
     g_vei, g_vej = nc.elementwise_product_backward(
-        trace.edge_vecs[pi], trace.edge_vecs[pj], g_edge_prod
+        trace.edge_vecs[gi], trace.edge_vecs[gj], g_edge_prod
     )
-    g_edge_vecs = np.zeros_like(trace.edge_vecs)
-    np.add.at(g_edge_vecs, pi, g_vei)
-    np.add.at(g_edge_vecs, pj, g_vej)
-    g_table = np.zeros_like(store.value("edge_embed"))
-    np.add.at(g_table, ids, g_edge_vecs)
-    store.accumulate("edge_embed", g_table)
+    g_edge_vecs = _segment_sum(np.concatenate((g_vei, g_vej)), both_ends, n_nodes)
+    np.add.at(store.grad("edge_embed"), ids, g_edge_vecs)
+
+
+def score_many(
+    instances: Sequence[Instance],
+    params: ModelParams,
+    *,
+    binary_gates: bool = False,
+    edges: Iterable[tuple[int, int]] | None = None,
+) -> np.ndarray:
+    """Raw scores in engine chunks: deterministic (or binary) gates, or
+    gates pinned to membership in `edges` (unordered feature-id pairs)."""
+    codes = None if edges is None else edge_codes(edges)
+    scores = np.empty(len(instances))
+    for start, layout in chunk_layouts(instances):
+        pinned = None if codes is None else pinned_edges(layout, codes)
+        trace = forward_batch(layout, params, pinned_edges=pinned, binary_gates=binary_gates)
+        scores[start : start + trace.scores.shape[0]] = trace.scores
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +660,15 @@ class Prediction:
 
 
 def _contributions(trace: Forward, params: ModelParams) -> np.ndarray:
-    """Additive per-slot shares: score == contributions.sum() exactly (the
-    readout is linear and each slot enters both endpoint node averages)."""
-    inst = trace.instance
-    x = inst.value_array
-    k = inst.n_nodes
-    pi, pj, off = trace.pair_i, trace.pair_j, trace.offdiag
-    weight_per_node = x / trace.denom
-    slot_weight = weight_per_node[pi] + np.where(off, weight_per_node[pj], 0.0)
+    """Additive per-slot shares: each instance's score equals the sum of
+    its slots' shares exactly (the readout is linear and each slot enters
+    both endpoint node averages)."""
+    lay = trace.layout
+    gi, gj, off = lay.slot_i, lay.slot_j, lay.offdiag
+    weight_per_node = lay.values / trace.denom
+    slot_weight = weight_per_node[gi] + np.where(off, weight_per_node[gj], 0.0)
     readout_of_z = trace.interactions @ params.value("readout")
-    return trace.edge_values * readout_of_z * slot_weight / k
+    return trace.edge_values * readout_of_z * slot_weight / lay.counts[lay.slot_instance]
 
 
 def _prediction_from(trace: Forward, params: ModelParams) -> Prediction:
@@ -482,7 +683,7 @@ def _prediction_from(trace: Forward, params: ModelParams) -> Prediction:
             interaction=trace.interactions[p].copy(),
             contribution=float(contrib[p]),
         )
-        for p, (a, b) in enumerate(zip(trace.pair_i, trace.pair_j))
+        for p, (a, b) in enumerate(zip(trace.layout.slot_i, trace.layout.slot_j))
     )
     return Prediction(score=trace.score, node_updates=trace.node_update.copy(), pairs=pairs)
 
@@ -669,5 +870,20 @@ def load_checkpoint(path) -> tuple[ModelParams, dict]:
             block = fh.read(count * 8)
             if len(block) != count * 8:
                 raise ValueError(f"checkpoint truncated in parameter {entry['name']!r}")
-            store.add(entry["name"], np.frombuffer(block, dtype="<f8").reshape(shape).copy())
+            value = np.frombuffer(block, dtype="<f8").reshape(shape)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"checkpoint parameter {entry['name']!r} holds non-finite values")
+            store.add(entry["name"], value)
+        if fh.read(1):
+            raise ValueError("checkpoint has trailing bytes after its last parameter")
     return ModelParams(config, store), header
+
+
+def check_vocabulary(params: ModelParams, dataset: Dataset) -> None:
+    """Reject data whose feature ids have no embedding in the checkpoint."""
+    top = max(inst.nodes[-1] for inst in dataset.instances)
+    if top >= params.config.vocab_size:
+        raise ValueError(
+            f"data holds feature id {top}, but the checkpoint's vocabulary has only "
+            f"{params.config.vocab_size} features"
+        )

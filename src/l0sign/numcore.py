@@ -2,8 +2,8 @@
 
 The classifier differentiates through a fixed computation shape, so this
 module only needs a handful of forward primitives plus their
-vector-Jacobian rules; callers walk their own structure in reverse and
-apply the rule for each recorded op. There is no general-purpose tape.
+vector-Jacobian rules; the model walks its own structure in reverse and
+calls the rule of each primitive directly. There is no tape.
 
 Conventions: a vector is a 1-d float64 array; `linear` and the activation
 primitives also accept a 2-d array whose rows are independent inputs (the
@@ -13,8 +13,7 @@ primitive reject non-finite outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,10 +23,6 @@ Matrix = np.ndarray
 
 class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested primitive."""
-
-
-class GradientRuleError(KeyError):
-    """No backward rule matches the supplied op record."""
 
 
 class NonFiniteError(FloatingPointError):
@@ -131,20 +126,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return _checked("sigmoid", out)
 
 
-def reduce_mean(vectors: Sequence[Vector]) -> Vector:
-    """Mean of a non-empty sequence of equal-length vectors."""
-    if len(vectors) == 0:
-        raise ShapeError("reduce_mean of an empty sequence")
-    rows = [as_vector(v) for v in vectors]
-    n = rows[0].shape[0]
-    for v in rows[1:]:
-        if v.shape[0] != n:
-            raise ShapeError(f"reduce_mean over mixed lengths: {n} vs {v.shape[0]}")
-    stacked = np.stack(rows)
-    _count(stacked.size)
-    return _checked("reduce_mean", stacked.mean(axis=0))
-
-
 # ---------------------------------------------------------------------------
 # Backward rules. Each forward primitive has a rule taking the values it
 # needs from the forward pass plus the upstream gradient.
@@ -192,52 +173,6 @@ def sigmoid_backward(output: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         raise ShapeError(f"upstream {g.shape} does not match output {y.shape}")
     _count(g.size)
     return g * y * (1.0 - y)
-
-
-def reduce_mean_backward(count: int, upstream: Vector) -> Vector:
-    """Gradient w.r.t. each of the `count` averaged vectors."""
-    if count <= 0:
-        raise ShapeError("reduce_mean_backward needs a positive count")
-    g = as_vector(upstream)
-    _count(g.size)
-    return g / float(count)
-
-
-@dataclass(frozen=True)
-class OpRecord:
-    """What a forward primitive saved for its backward rule.
-
-    op:    one of "linear", "elementwise_product", "relu", "sigmoid",
-           "reduce_mean"
-    saved: the rule's required values, in the rule's argument order
-           (e.g. (weights, x) for linear, (output,) for sigmoid,
-           (count,) for reduce_mean).
-    """
-
-    op: str
-    saved: tuple
-
-
-_RULES: dict[str, tuple[int, Callable]] = {
-    "linear": (2, lambda s, g: linear_backward(s[0], s[1], g)),
-    "elementwise_product": (2, lambda s, g: elementwise_product_backward(s[0], s[1], g)),
-    "relu": (1, lambda s, g: relu_backward(s[0], g)),
-    "sigmoid": (1, lambda s, g: sigmoid_backward(s[0], g)),
-    "reduce_mean": (1, lambda s, g: reduce_mean_backward(s[0], g)),
-}
-
-
-def backward(record: OpRecord, upstream: np.ndarray):
-    """Apply the backward rule for a recorded op to the upstream gradient."""
-    rule = _RULES.get(record.op)
-    if rule is None:
-        raise GradientRuleError(f"no backward rule for op {record.op!r}")
-    arity, fn = rule
-    if len(record.saved) != arity:
-        raise GradientRuleError(
-            f"op {record.op!r} expects {arity} saved value(s), record has {len(record.saved)}"
-        )
-    return fn(record.saved, upstream)
 
 
 # ---------------------------------------------------------------------------

@@ -68,10 +68,11 @@ class RiskBreakdown:
     l2: float
 
 
-def _pinned_for(instance: Instance, tcfg: TrainConfig) -> np.ndarray:
+def _pinned(layout: model_mod.PairLayout, tcfg: TrainConfig) -> np.ndarray:
+    """Per-slot gate values of a pinned mode (all pairs for sign-complete)."""
     if tcfg.mode == "sign-complete":
-        return model_mod.complete_edges(instance)
-    return model_mod.edges_for_instance(instance, tcfg.fixed_edges)
+        return np.ones(layout.slot_i.shape[0])
+    return model_mod.pinned_edges(layout, model_mod.edge_codes(tcfg.fixed_edges))
 
 
 def risk(
@@ -85,42 +86,51 @@ def risk(
     node_update_sink: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> RiskBreakdown:
     """Mean risk over (sample_index, instance) pairs; gradients are added to
-    the parameter store in sample order when `accumulate_grads` is set.
+    the parameter store when `accumulate_grads` is set.
 
-    In "l0sign" mode gates are stochastic when a noise stream is given (keyed
-    by epoch and sample index) and noise-free otherwise; the pinned modes
-    skip the edge side entirely and drop the L0 term. `node_update_sink`
-    collects (node ids, v') per sample for the literal embedding update.
+    The batch runs through the engine in consecutive chunks of at most
+    `model.CHUNK_SLOTS` pair slots. In "l0sign" mode gates are stochastic
+    when a noise stream is given (keyed by epoch and sample index) and
+    noise-free otherwise; the pinned modes skip the edge side entirely and
+    drop the L0 term. `node_update_sink` collects (node ids, v') per sample,
+    in sample order, for the literal embedding update.
     """
     if len(batch) == 0:
         raise ValueError("risk over an empty batch")
     gate_cfg = params.config.gate
     inv = 1.0 / len(batch)
+    instances = [inst for _, inst in batch]
+    all_noise = None
+    if tcfg.mode == "l0sign" and noise is not None:
+        slot_counts = [model_mod.pair_count(inst.n_nodes) for inst in instances]
+        all_noise = noise.uniforms(epoch, [n for n, _ in batch], slot_counts)
+    first_slot = 0
     loss_sum = l0_sum = l2_sum = 0.0
-    for sample_index, inst in batch:
+    for _, layout in model_mod.chunk_layouts(instances):
+        n_slots = layout.slot_i.shape[0]
         if tcfg.mode == "l0sign":
-            u = None
-            if noise is not None:
-                u = noise.pair_uniforms(epoch, sample_index, model_mod.pair_count(inst.n_nodes))
-            trace = model_mod.forward(inst, params, noise=u)
+            u = None if all_noise is None else all_noise[first_slot : first_slot + n_slots]
+            trace = model_mod.forward_batch(layout, params, noise=u)
         else:
-            trace = model_mod.forward(inst, params, pinned_edges=_pinned_for(inst, tcfg))
+            trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
 
-        signed = float(inst.signed_label)
-        margin = signed * trace.score
-        loss = float(np.logaddexp(0.0, -margin))
-        loss_sum += loss
-        l2 = float((trace.interactions**2).sum())
-        l2_sum += l2
+        signed = np.fromiter(
+            (inst.signed_label for inst in layout.instances), np.float64, layout.counts.shape[0]
+        )
+        margin = signed * trace.scores
+        loss_sum += float(np.logaddexp(0.0, -margin).sum())
+        l2_sum += float((trace.interactions**2).sum())
         if tcfg.mode == "l0sign":
-            open_p = gates.open_probability(trace.log_alpha, gate_cfg)
-            l0_sum += float(np.sum(open_p))
+            l0_sum += float(np.sum(gates.open_probability(trace.log_alpha, gate_cfg)))
 
         if node_update_sink is not None:
-            node_update_sink.append((inst.node_array.copy(), trace.node_update.copy()))
+            bounds = np.cumsum(layout.counts)[:-1]
+            node_update_sink.extend(
+                zip(np.split(layout.ids, bounds), np.split(trace.node_update, bounds))
+            )
 
         if accumulate_grads:
-            d_score = -signed * float(nc.sigmoid(-margin)) * inv
+            d_score = -signed * nc.sigmoid(-margin) * inv
             d_inter = (2.0 * tcfg.lambda2 * inv) * trace.interactions
             d_la = None
             if tcfg.mode == "l0sign":
@@ -130,6 +140,7 @@ def risk(
             model_mod.backward(
                 trace, params, d_score, d_interactions=d_inter, d_log_alpha=d_la
             )
+        first_slot += n_slots
 
     loss_mean = loss_sum * inv
     l0_mean = l0_sum * inv
@@ -194,28 +205,33 @@ class FitResult:
     diverged: bool
 
 
-def _valid_scores(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> np.ndarray:
+def _check_validation_split(valid: Dataset) -> np.ndarray:
+    """Labels of the validation split, which epoch selection ranks by AUC;
+    raises before any training when it cannot."""
+    if len(valid) == 0:
+        raise ValueError("the validation split is empty")
+    labels = valid.labels()
+    if labels.min() == labels.max():
+        raise ValueError(
+            f"the validation split holds only label {labels[0]}; "
+            "epoch selection by AUC needs both classes"
+        )
+    return labels
+
+
+def _validate(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> tuple[np.ndarray, float]:
+    """Noise-free scores of the validation set and the fraction of its pair
+    slots whose deterministic gate (pinned value in the pinned modes)
+    exceeds the report threshold, from one engine pass per chunk."""
     scores = np.empty(len(valid))
-    for n, inst in enumerate(valid.instances):
-        pinned = None if tcfg.mode == "l0sign" else _pinned_for(inst, tcfg)
-        scores[n] = model_mod.score_only(inst, params, pinned_edges=pinned)
-    return scores
-
-
-def _open_gate_fraction(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> float:
-    """Fraction of pair slots over the validation set whose deterministic
-    gate exceeds the report threshold (pinned values in the pinned modes)."""
-    open_count = 0
-    total = 0
-    for inst in valid.instances:
-        if tcfg.mode == "l0sign":
-            trace = model_mod.forward(inst, params)
-            values = trace.edge_values
-        else:
-            values = _pinned_for(inst, tcfg)
-        open_count += int((values > tcfg.gate_threshold).sum())
-        total += values.shape[0]
-    return open_count / total if total else 0.0
+    open_count = total = 0
+    for start, layout in model_mod.chunk_layouts(valid.instances):
+        pinned = None if tcfg.mode == "l0sign" else _pinned(layout, tcfg)
+        trace = model_mod.forward_batch(layout, params, pinned_edges=pinned)
+        scores[start : start + trace.scores.shape[0]] = trace.scores
+        open_count += int((trace.edge_values > tcfg.gate_threshold).sum())
+        total += trace.edge_values.shape[0]
+    return scores, open_count / total
 
 
 def _steady(records: list[EpochRecord], window: int, tol: float) -> bool:
@@ -243,6 +259,7 @@ def fit(
     Ties pick the earlier epoch. Non-finite risk aborts and returns the
     last finite epoch's parameters.
     """
+    labels = _check_validation_split(valid_ds)
     params = ModelParams.init(mcfg, tcfg.seed)
     frozen = ("node_embed",) if tcfg.embedding_update == "algorithm-literal" else ()
     opt = Adagrad(
@@ -284,14 +301,13 @@ def fit(
         if diverged:
             break
 
-        scores = _valid_scores(valid_ds, params, tcfg)
-        labels = valid_ds.labels()
+        scores, open_fraction = _validate(valid_ds, params, tcfg)
         rec = EpochRecord(
             epoch=epoch,
             train_risk=risk_sum / seen,
             valid_auc=evaluate.auc(labels, scores),
             valid_acc=evaluate.accuracy(labels, scores),
-            open_gate_fraction=_open_gate_fraction(valid_ds, params, tcfg),
+            open_gate_fraction=open_fraction,
         )
         records.append(rec)
         if verbose:
@@ -364,14 +380,14 @@ def near_gradient_kink(
     tolerance.
     """
     tol = margin * epsilon
-    u = None
     if tcfg.mode == "l0sign":
         u = NoiseStream(tcfg.seed).pair_uniforms(
             epoch, sample_index, model_mod.pair_count(instance.n_nodes)
         )
         trace = model_mod.forward(instance, params, noise=u)
     else:
-        trace = model_mod.forward(instance, params, pinned_edges=_pinned_for(instance, tcfg))
+        layout = model_mod.PairLayout.of((instance,))
+        trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
     checks = [np.min(np.abs(trace.pair_pre)) < tol]
     if trace.edge_pre is not None:
         checks.append(np.min(np.abs(trace.edge_pre)) < tol)
@@ -482,15 +498,7 @@ def run_ablation(
                     epochs=epochs if epochs is not None else tcfg.epochs,
                 )
                 result = fit(train_ds, valid_ds, trained.config, run_cfg)
-                scores = np.asarray(
-                    [
-                        model_mod.score_only(
-                            inst, result.params,
-                            pinned_edges=model_mod.edges_for_instance(inst, subset),
-                        )
-                        for inst in test_ds.instances
-                    ]
-                )
+                scores = model_mod.score_many(test_ds.instances, result.params, edges=subset)
                 per_repeat.append(
                     AblationRow(
                         source=source,

@@ -249,6 +249,35 @@ def test_missing_data_file_reports_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["eval", "explain", "ablate"])
+def test_checkpoint_with_smaller_vocabulary_is_one_error_line(tmp_path, capsys, command):
+    params = ModelParams.random(
+        ModelConfig(vocab_size=5, edge_dim=2, interaction_dim=2, hidden_dim=2), seed=0
+    )
+    model.save_checkpoint(tmp_path / "small.ckpt", params, seed=0)
+    lines = ["vocab_size=10"] + [f"{n % 2} {n % 4} 9" for n in range(40)]
+    (tmp_path / "data.txt").write_text("\n".join(lines) + "\n")
+    argv = [command, "--data", str(tmp_path / "data.txt"),
+            "--checkpoint", str(tmp_path / "small.ckpt")]
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "out")]
+    rc = cli.main(argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "feature id 9" in err and "5 features" in err
+
+
+def test_train_rejects_single_class_validation_split(tmp_path, capsys):
+    lines = ["vocab_size=6"] + [f"1 {n % 5} 5" for n in range(40)]
+    (tmp_path / "data.txt").write_text("\n".join(lines) + "\n")
+    rc = cli.main(["train", "--data", str(tmp_path / "data.txt"),
+                   "--out", str(tmp_path / "o"), "--epochs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "only label 1" in err and err.count("\n") == 1
+
+
 def test_unknown_command_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -58,6 +58,18 @@ def test_parse_line_rejects_malformed(line):
         data.parse_line(line)
 
 
+@pytest.mark.parametrize("token", ["0:nan", "3:inf", "3:-inf", "5:NaN"])
+def test_parse_line_rejects_non_finite_values(token, tmp_path):
+    with pytest.raises(ValueError, match="non-finite"):
+        data.parse_line(f"1 {token}")
+    path = tmp_path / "bad.txt"
+    path.write_text(f"vocab_size=8\n1 2 3\n0 1 {token}\n")
+    with pytest.raises(ValueError) as exc:
+        data.load_dataset(path)
+    message = str(exc.value)
+    assert "line 3" in message and token in message and "\n" not in message
+
+
 def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3\n1 4 4\n")

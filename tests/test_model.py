@@ -359,6 +359,35 @@ def test_checkpoint_rejects_truncation_and_bad_format(tmp_path):
         model.load_checkpoint(tmp_path / "bad.ckpt")
 
 
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    params = ModelParams.random(SMALL, seed=12)
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path, params, seed=12)
+    path.write_bytes(path.read_bytes() + b"\x00" * 8)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        model.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    params = ModelParams.random(SMALL, seed=13)
+    params.value("pair_out_b")[1] = bad
+    path = tmp_path / "model.ckpt"
+    model.save_checkpoint(path, params, seed=13)
+    with pytest.raises(ValueError, match="'pair_out_b' holds non-finite"):
+        model.load_checkpoint(path)
+
+
+def test_check_vocabulary_names_the_offending_id():
+    params = ModelParams.random(ModelConfig(vocab_size=5, edge_dim=2, interaction_dim=2,
+                                            hidden_dim=2), seed=0)
+    fits = data.Dataset([data.make_instance([0, 4], [1.0, 1.0], 1)], vocab_size=9)
+    model.check_vocabulary(params, fits)  # declared vocab is larger, ids still fit
+    too_big = data.Dataset([data.make_instance([1, 9], [1.0, 1.0], 1)], vocab_size=10)
+    with pytest.raises(ValueError, match="feature id 9.* 5 features"):
+        model.check_vocabulary(params, too_big)
+
+
 # ---------------------------------------------------------------------------
 # cost scaling
 

@@ -83,22 +83,6 @@ def test_sigmoid_matches_reference_and_is_stable():
     assert nc.sigmoid(np.array([0.0]))[0] == 0.5
 
 
-def test_reduce_mean_matches_numpy(rng):
-    vecs = [rng.standard_normal(6) for _ in range(5)]
-    np.testing.assert_allclose(nc.reduce_mean(vecs), np.stack(vecs).mean(axis=0), rtol=1e-15)
-    with pytest.raises(nc.ShapeError):
-        nc.reduce_mean([])
-    with pytest.raises(nc.ShapeError):
-        nc.reduce_mean([np.ones(3), np.ones(4)])
-
-
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
-def test_reduce_mean_of_copies_exact_for_binary_counts(n, rng):
-    # dividing by a power of two is exact in binary floating point
-    v = rng.standard_normal(5)
-    assert np.array_equal(nc.reduce_mean([v] * n), v)
-
-
 # ---------------------------------------------------------------------------
 # backward rules vs central differences
 
@@ -182,48 +166,6 @@ def test_sigmoid_backward_vs_numeric(rng):
     np.testing.assert_allclose(
         g, numeric_grad(lambda v: float(nc.sigmoid(v) @ probe), x), atol=1e-8
     )
-
-
-def test_reduce_mean_backward_vs_numeric(rng):
-    vecs = [rng.standard_normal(4) for _ in range(3)]
-    probe = rng.standard_normal(4)
-    g = nc.reduce_mean_backward(3, probe)
-    for target in range(3):
-        def f(v, target=target):
-            swapped = [v if n == target else vecs[n] for n in range(3)]
-            return float(nc.reduce_mean(swapped) @ probe)
-
-        np.testing.assert_allclose(g, numeric_grad(f, vecs[target]), atol=1e-8)
-    with pytest.raises(nc.ShapeError):
-        nc.reduce_mean_backward(0, probe)
-
-
-# ---------------------------------------------------------------------------
-# op record dispatch
-
-def test_backward_dispatch_matches_direct_rules(rng):
-    w = rng.standard_normal((2, 3))
-    x = rng.standard_normal(3)
-    g = rng.standard_normal(2)
-    via_record = nc.backward(nc.OpRecord("linear", (w, x)), g)
-    direct = nc.linear_backward(w, x, g)
-    for got, want in zip(via_record, direct):
-        np.testing.assert_array_equal(got, want)
-
-    y = nc.sigmoid(x)
-    np.testing.assert_array_equal(
-        nc.backward(nc.OpRecord("sigmoid", (y,)), x), nc.sigmoid_backward(y, x)
-    )
-    np.testing.assert_array_equal(
-        nc.backward(nc.OpRecord("reduce_mean", (4,)), x), nc.reduce_mean_backward(4, x)
-    )
-
-
-def test_backward_dispatch_rejects_unknown_op_and_bad_arity():
-    with pytest.raises(nc.GradientRuleError):
-        nc.backward(nc.OpRecord("softmax", (np.ones(2),)), np.ones(2))
-    with pytest.raises(nc.GradientRuleError):
-        nc.backward(nc.OpRecord("relu", (np.ones(2), np.ones(2))), np.ones(2))
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,17 @@ def test_fit_aborts_on_non_finite_risk():
         np.testing.assert_array_equal(result.params.value(name), init.value(name))
 
 
+def test_fit_rejects_single_class_validation_split_before_training(monkeypatch):
+    ds = small_dataset(n=200)
+    tr, va, _ = data.split(ds, data.SplitSpec(seed=0))
+    ones = data.Dataset([i for i in va.instances if i.label == 1], va.vocab_size)
+    monkeypatch.setattr(train, "risk", lambda *a, **k: pytest.fail("fit trained first"))
+    with pytest.raises(ValueError, match="only label 1"):
+        train.fit(tr, ones, SMALL, TrainConfig(epochs=1, seed=0))
+    with pytest.raises(ValueError, match="empty"):
+        train.fit(tr, data.Dataset([], va.vocab_size), SMALL, TrainConfig(epochs=1, seed=0))
+
+
 def test_literal_embedding_update_overwrites_table():
     ds = small_dataset(n=200)
     tr, va, _ = data.split(ds, data.SplitSpec(seed=0))
