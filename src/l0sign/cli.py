@@ -78,7 +78,15 @@ class Settings:
         default = DEFAULTS[key]
         if key in self.file_cfg:
             raw = self.file_cfg[key]
-            return type(default)(raw) if not isinstance(default, str) else raw
+            if isinstance(default, str):
+                return raw
+            try:
+                return type(default)(raw)
+            except ValueError:
+                raise ValueError(
+                    f"config file {self.args.config}: {key}={raw!r} is not "
+                    f"a valid {type(default).__name__}"
+                ) from None
         return default
 
 

@@ -172,7 +172,14 @@ def load_dataset(path, planted: PlantedPairs | None = None) -> Dataset:
     declared: int | None = None
     start = 0
     if lines and lines[0].startswith("vocab_size="):
-        declared = int(lines[0].partition("=")[2])
+        try:
+            declared = int(lines[0].partition("=")[2])
+        except ValueError:
+            declared = 0
+        if declared <= 0:
+            raise ValueError(
+                f"{path} line 1: vocab_size must be a positive integer, got {lines[0]!r}"
+            )
         start = 1
     instances = [
         parse_line(line, line_number=n + 1)

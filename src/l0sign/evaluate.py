@@ -123,14 +123,23 @@ def evaluate_dataset(
 
 def co_occurring_pairs(dataset: Dataset) -> Counter:
     """How many instances contain each unordered feature pair (self-pairs
-    included: a feature co-occurs with itself whenever it appears)."""
-    counts: Counter = Counter()
-    for inst in dataset.instances:
-        ids = inst.nodes
-        for a in range(len(ids)):
-            for b in range(a, len(ids)):
-                counts[(ids[a], ids[b])] += 1
-    return counts
+    included: a feature co-occurs with itself whenever it appears).
+
+    Each pair occurs at most once per instance, so this counts the pair
+    codes of the engine's slots."""
+    codes = [np.empty(0, dtype=np.int64)]
+    codes.extend(layout.pair_codes() for _, layout in model_mod.chunk_layouts(dataset.instances))
+    distinct, counts = np.unique(np.concatenate(codes), return_counts=True)
+    i, j = model_mod.code_pairs(distinct)
+    return Counter(dict(zip(zip(i.tolist(), j.tolist()), counts.tolist())))
+
+
+def pair_gates(pairs: Sequence[tuple[int, int]], params: ModelParams) -> np.ndarray:
+    """Deterministic gate of each unordered feature pair, from one batched
+    pass of the edge MLP."""
+    ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return gates.eval_deterministic(model_mod.edge_logit(ids[:, 0], ids[:, 1], params),
+                                    params.config.gate)
 
 
 @dataclass(frozen=True)
@@ -152,15 +161,15 @@ def edge_report(dataset: Dataset, params: ModelParams, threshold: float = 0.5) -
     """Deterministic gate value and instance count per co-occurring pair,
     plus the fraction counted open at `threshold`."""
     counts = co_occurring_pairs(dataset)
-    entries = []
-    open_count = 0
-    for (i, j), count in sorted(counts.items()):
-        gate = gates.eval_deterministic(model_mod.edge_logit(i, j, params), params.config.gate)
-        open_count += gate > threshold
-        entries.append(EdgeStat(i=i, j=j, gate=float(gate), count=count))
+    pairs = sorted(counts)
+    gate_values = pair_gates(pairs, params)
+    entries = tuple(
+        EdgeStat(i=i, j=j, gate=gate, count=counts[(i, j)])
+        for (i, j), gate in zip(pairs, gate_values.tolist())
+    )
     return EdgeReport(
-        entries=tuple(entries),
-        open_fraction=open_count / len(entries) if entries else 0.0,
+        entries=entries,
+        open_fraction=float(np.mean(gate_values > threshold)) if entries else 0.0,
         threshold=threshold,
     )
 
@@ -190,12 +199,8 @@ def edge_recovery(
     if not truth:
         raise ValueError("edge_recovery needs a non-empty planted set")
     universe = [p for p in sorted(co_occurring_pairs(dataset)) if p[0] != p[1]]
-    predicted = [
-        p
-        for p in universe
-        if gates.eval_deterministic(model_mod.edge_logit(*p, params), params.config.gate)
-        > threshold
-    ]
+    is_open = pair_gates(universe, params) > threshold
+    predicted = [p for p, o in zip(universe, is_open) if o]
     truth_in_universe = truth.intersection(universe)
     tp = len(truth_in_universe.intersection(predicted))
     precision = tp / len(predicted) if predicted else 0.0

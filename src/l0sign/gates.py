@@ -64,6 +64,13 @@ class GateBatch:
     noise: np.ndarray | None  # None for the deterministic estimator
 
 
+def _clamped(s: np.ndarray, config: GateConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(pre_clamp, value) of a gate whose concrete sample is s in (0, 1):
+    s stretched to (low, high), then clamped to [0, 1]."""
+    pre = s * (config.stretch_high - config.stretch_low) + config.stretch_low
+    return pre, np.clip(pre, 0.0, 1.0)
+
+
 def sample_array(log_alpha: np.ndarray, u: np.ndarray, config: GateConfig = DEFAULT_GATE) -> GateBatch:
     log_alpha = np.asarray(log_alpha, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
@@ -72,8 +79,8 @@ def sample_array(log_alpha: np.ndarray, u: np.ndarray, config: GateConfig = DEFA
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         raise ValueError("gate noise must lie strictly inside (0, 1)")
     s = nc.sigmoid((np.log(u) - np.log1p(-u) + log_alpha) / config.temperature)
-    pre = s * (config.stretch_high - config.stretch_low) + config.stretch_low
-    return GateBatch(value=np.clip(pre, 0.0, 1.0), pre_clamp=pre, noise=u)
+    pre, value = _clamped(s, config)
+    return GateBatch(value=value, pre_clamp=pre, noise=u)
 
 
 def sample(log_alpha: float, u: float, config: GateConfig = DEFAULT_GATE) -> GateSample:
@@ -87,15 +94,13 @@ def sample(log_alpha: float, u: float, config: GateConfig = DEFAULT_GATE) -> Gat
 def eval_deterministic(log_alpha, config: GateConfig = DEFAULT_GATE):
     """Noise-free gate estimate; scalar in, float out; array in, array out."""
     la = np.asarray(log_alpha, dtype=np.float64)
-    pre = nc.sigmoid(la) * (config.stretch_high - config.stretch_low) + config.stretch_low
-    out = np.clip(pre, 0.0, 1.0)
+    _, out = _clamped(nc.sigmoid(la), config)
     return float(out) if np.isscalar(log_alpha) or la.ndim == 0 else out
 
 
 def deterministic_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> GateBatch:
-    la = np.asarray(log_alpha, dtype=np.float64)
-    pre = nc.sigmoid(la) * (config.stretch_high - config.stretch_low) + config.stretch_low
-    return GateBatch(value=np.clip(pre, 0.0, 1.0), pre_clamp=pre, noise=None)
+    pre, value = _clamped(nc.sigmoid(np.asarray(log_alpha, dtype=np.float64)), config)
+    return GateBatch(value=value, pre_clamp=pre, noise=None)
 
 
 def binary_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> GateBatch:
@@ -104,8 +109,7 @@ def binary_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> Ga
     Evaluation-only alternative to the graded deterministic gate; the step
     has no useful gradient, so training never uses it.
     """
-    la = np.asarray(log_alpha, dtype=np.float64)
-    pre = nc.sigmoid(la) * (config.stretch_high - config.stretch_low) + config.stretch_low
+    pre, _ = _clamped(nc.sigmoid(np.asarray(log_alpha, dtype=np.float64)), config)
     return GateBatch(value=(pre > 0.0).astype(np.float64), pre_clamp=pre, noise=None)
 
 
@@ -143,12 +147,10 @@ def grad_log_alpha(drawn: GateSample | GateBatch, config: GateConfig = DEFAULT_G
 
 def deterministic_grad_log_alpha(log_alpha, config: GateConfig = DEFAULT_GATE):
     """d eval_deterministic / d log_alpha; 0 where the clamp is active."""
-    la = np.asarray(log_alpha, dtype=np.float64)
-    s = nc.sigmoid(la)
+    s = nc.sigmoid(np.asarray(log_alpha, dtype=np.float64))
+    pre, _ = _clamped(s, config)
     span = config.stretch_high - config.stretch_low
-    pre = s * span + config.stretch_low
-    inside = (pre > 0.0) & (pre < 1.0)
-    out = np.where(inside, span * s * (1.0 - s), 0.0)
+    out = np.where((pre > 0.0) & (pre < 1.0), span * s * (1.0 - s), 0.0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -12,9 +12,13 @@ averaged into the raw score. The gradient pass mirrors this fixed shape
 in reverse using the numcore rules.
 
 One engine (`forward_batch` / `backward`) runs both passes over a flat
-pair-slot layout of many instances (`PairLayout`): each MLP is one matmul
-over all slots, and node and instance reductions are segment sums. The
-per-instance `forward` is its batch of one.
+pair-slot layout of many instances (`PairLayout`). A slot's gate location
+depends only on its feature pair and its interaction vector only on the
+two features and their values, so each MLP is one matmul over the distinct
+rows of the layout, gathered back to the slots; gate noise, the gated
+aggregation and the penalties stay per slot, and node and instance
+reductions are segment sums. The per-instance `forward` is its batch of
+one.
 """
 
 from __future__ import annotations
@@ -22,8 +26,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -187,13 +192,34 @@ def _pair_tables(k_max: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_CODE_BASE = 2**31  # pair codes hold feature ids below this, in int64
 
 # Pair slots per engine pass in the batched callers (training risk,
-# validation, dataset scoring). The live forward and reverse arrays take
-# about 3 KB per slot, and the largest are slots x hidden_dim floats; past
-# a few hundred slots the per-pass Python overhead is already small next to
-# the arithmetic. Measured with the benchmark: 256 slots keep its peak RSS
-# within about 5% of the per-instance loop's, while 512 (128 KB hidden
-# arrays, the allocator's mmap threshold) adds about 7.5%.
-CHUNK_SLOTS = 256
+# validation, dataset scoring). The MLP arrays are distinct rows x
+# hidden_dim floats, so where pairs repeat, larger chunks spread the
+# per-pass cost (layout, unique passes, Python overhead) over more slots;
+# where they do not (uniform Frappe-shaped draws: 90% of slots distinct),
+# rows and memory still grow with the chunk. Measured on 2 CPUs, numpy
+# 2.4.6, one BLAS thread: `train.risk` on one 1024-row minibatch of the
+# acceptance shape took 65 ms at 1024 slots and 53 ms at 2048 (124 ms in
+# 256-slot chunks with one MLP row per slot), of the Frappe shape 253 ms at
+# both. Against 256-slot chunks with one row per slot, benchmark peak RSS
+# grew by 1.5-3.3% at 1024 slots, but by 9% on `infer-frappe` at 2048
+# (its bound is 10%).
+CHUNK_SLOTS = 1024
+
+
+class PairRows(NamedTuple):
+    """The distinct MLP inputs of a layout, in the order their first slots
+    appear. Pair row r is the (id, value) pair of nodes (pair_i[r],
+    pair_j[r]) and edge row r the feature pair of nodes (edge_i[r],
+    edge_j[r]); slot s reads pair row pair_row_of[s] and edge row
+    edge_row_of[s]. When every slot is distinct the rows are the slots
+    themselves, in order."""
+
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    pair_row_of: np.ndarray  # (S,)
+    edge_i: np.ndarray
+    edge_j: np.ndarray
+    edge_row_of: np.ndarray  # (S,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +230,8 @@ class PairLayout:
     an instance (self-pairs included, lexicographic order within the
     instance) is one slot that addresses two global node indices
     `slot_i <= slot_j`. Node and instance reductions are segment sums over
-    `node_instance` / `slot_instance` and the gather lists below.
+    `node_instance` / `slot_instance` and the gather lists below;
+    `distinct_rows` finds the layout's distinct MLP inputs.
     """
 
     instances: tuple[Instance, ...]
@@ -243,10 +270,15 @@ class PairLayout:
         k_of_slot = counts[slot_instance]
         slot_i = ti[k_of_slot, local] + offset
         slot_j = tj[k_of_slot, local] + offset
+        # read from the node tuples: per-instance arrays would stay cached on
+        # every instance of the batch
+        n_nodes = int(counts.sum())
+        ids = np.fromiter(chain.from_iterable(inst.nodes for inst in instances), np.int64, n_nodes)
+        values = np.fromiter(chain.from_iterable(inst.values for inst in instances), float, n_nodes)
         return cls(
             instances,
-            np.concatenate([inst.node_array for inst in instances]),
-            np.concatenate([inst.value_array for inst in instances]),
+            ids,
+            values,
             counts,
             np.repeat(batch, counts),
             slot_instance,
@@ -268,6 +300,44 @@ def _gather_lists(slot_i: np.ndarray, slot_j: np.ndarray):
     return off, targets, sources
 
 
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, row_of): the first position of each distinct key, in
+    position order, and the row of every position."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    return first[order], rank[inverse]
+
+
+def distinct_rows(layout: PairLayout) -> PairRows:
+    """The distinct MLP inputs of a layout.
+
+    Nodes with equal feature id and equal value bits share a token, so a
+    pair row is a distinct token pair and repeats exactly in every slot it
+    stands for. Edge rows group the pair rows by feature pair."""
+    if layout.counts.shape[0] == 1:
+        # node ids strictly increase, so every slot is its own row
+        return _single_rows(layout.ids.shape[0])
+    ids, slot_i, slot_j = layout.ids, layout.slot_i, layout.slot_j
+    bits = layout.values.view(np.int64)
+    order = np.lexsort((bits, ids))
+    sorted_ids, sorted_bits = ids[order], bits[order]
+    new = np.ones(ids.shape[0], dtype=bool)
+    new[1:] = (sorted_ids[1:] != sorted_ids[:-1]) | (sorted_bits[1:] != sorted_bits[:-1])
+    token = np.empty_like(ids)
+    token[order] = np.cumsum(new) - 1
+    pair_rows, pair_row_of = _first_appearance(
+        token[slot_i] * int(np.count_nonzero(new)) + token[slot_j]
+    )
+    pair_i, pair_j = slot_i[pair_rows], slot_j[pair_rows]
+    edge_rows, edge_of_pair_row = _first_appearance(
+        ids[pair_i] * _PAIR_CODE_BASE + ids[pair_j]
+    )
+    return PairRows(pair_i, pair_j, pair_row_of,
+                    pair_i[edge_rows], pair_j[edge_rows], edge_of_pair_row[pair_row_of])
+
+
 @lru_cache(maxsize=256)
 def _single_layout(k: int) -> tuple:
     """PairLayout fields after (ids, values) for one instance of k nodes."""
@@ -282,12 +352,24 @@ def _single_layout(k: int) -> tuple:
     return fields
 
 
+@lru_cache(maxsize=256)
+def _single_rows(k: int) -> PairRows:
+    """distinct_rows of one instance of k nodes: the slots themselves."""
+    slot_i, slot_j = pair_slots(k)
+    slots = np.arange(slot_i.shape[0])
+    slots.setflags(write=False)
+    return PairRows(slot_i, slot_j, slots, slot_i, slot_j, slots)
+
+
 def chunk_layouts(instances: Sequence[Instance]) -> Iterator[tuple[int, PairLayout]]:
     """Layouts of consecutive runs of `instances` with at most CHUNK_SLOTS
     pair slots each (a larger instance gets a run of its own), with the
     position of each run's first instance."""
     n = len(instances)
     if n == 0:
+        return
+    if n == 1:  # one run, without the budget search (one-instance risk calls)
+        yield 0, PairLayout.of(instances)
         return
     ks = np.fromiter((inst.n_nodes for inst in instances), np.int64, n)
     ends = np.cumsum(ks * (ks + 1) // 2)
@@ -310,6 +392,11 @@ def edge_codes(edge_set: Iterable[tuple[int, int]]) -> np.ndarray:
     lo, hi = pairs.min(axis=1), pairs.max(axis=1)
     keep = (lo >= 0) & (hi < _PAIR_CODE_BASE)
     return np.unique(lo[keep] * _PAIR_CODE_BASE + hi[keep])
+
+
+def code_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-id arrays (i, j) of pair codes; the inverse of the encoding."""
+    return np.divmod(codes, _PAIR_CODE_BASE)
 
 
 @lru_cache(maxsize=64)
@@ -351,24 +438,52 @@ def _segment_sum(values: np.ndarray, segments: np.ndarray, n: int) -> np.ndarray
     return np.bincount(flat, weights=values.ravel(), minlength=n * d).reshape(n, d)
 
 
+# Between the distinct rows of a layout and its slots. Rows are listed in
+# slot order, so as many rows as slots means the rows are the slots.
+
+def _to_slots(row_values: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """Per-row values read by every slot."""
+    return row_values if row_values.shape[0] == row_of.shape[0] else row_values[row_of]
+
+
+def _to_rows(slot_values: np.ndarray, row_of: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-slot values summed onto their rows."""
+    if n_rows == row_of.shape[0]:
+        return slot_values
+    return _segment_sum(slot_values, row_of, n_rows)
+
+
+def _edge_mlp(vi: np.ndarray, vj: np.ndarray, params: ModelParams):
+    """(product, hidden pre-activation, hidden activation, logit) of the
+    edge MLP over rows of edge-embedding pairs."""
+    prod = nc.elementwise_product(vi, vj)
+    pre = nc.linear(params.value("edge_hidden_w"), prod, params.value("edge_hidden_b"))
+    act = nc.relu(pre)
+    logit = nc.linear(params.value("edge_out_w"), act, params.value("edge_out_b"))[:, 0]
+    return prod, pre, act, logit
+
+
 @dataclass
 class Forward:
     """Every intermediate of one engine pass over a batch, kept for the
     reverse pass and for explanations. Node arrays are indexed like
-    `layout.ids`, slot arrays like `layout.slot_i`."""
+    `layout.ids`, slot arrays like `layout.slot_i`, and the MLP arrays
+    `edge_prod`/`edge_pre`/`edge_act` and `pair_prod`/`pair_pre`/`pair_act`
+    by the distinct edge and pair rows in `rows`."""
 
     layout: PairLayout
+    rows: PairRows
     mode: str  # "stochastic" | "deterministic" | "binary" | "pinned"
     edge_vecs: np.ndarray | None  # (N, edge_dim), None when pinned
     node_vecs: np.ndarray  # (N, d) value-scaled embeddings u_i
-    edge_prod: np.ndarray | None
-    edge_pre: np.ndarray | None
+    edge_prod: np.ndarray | None  # (edge rows, edge_dim)
+    edge_pre: np.ndarray | None  # (edge rows, hidden_dim)
     edge_act: np.ndarray | None
-    log_alpha: np.ndarray | None
+    log_alpha: np.ndarray | None  # (S,)
     gate: GateBatch | None  # None when pinned
     edge_values: np.ndarray  # (S,) gate values actually used
-    pair_prod: np.ndarray
-    pair_pre: np.ndarray
+    pair_prod: np.ndarray  # (pair rows, d)
+    pair_pre: np.ndarray  # (pair rows, hidden_dim)
     pair_act: np.ndarray
     interactions: np.ndarray  # (S, d) pair MLP outputs
     node_sum: np.ndarray  # (N, d) gated sums
@@ -405,7 +520,8 @@ def forward_batch(
     degree_override: np.ndarray | None = None,
     binary_gates: bool = False,
 ) -> Forward:
-    """Run the fixed computation shape over every pair slot of a layout.
+    """Run the fixed computation shape over every pair slot of a layout,
+    each MLP once per distinct row.
 
     Gate source: `pinned_edges` (per slot) fixes the gate values and skips
     the edge MLP entirely; otherwise gates come from the edge MLP,
@@ -420,8 +536,8 @@ def forward_batch(
         raise ValueError("binary gates need predicted logits; got pinned edges")
     cfg = params.config
     ids, x = layout.ids, layout.values
-    gi, gj = layout.slot_i, layout.slot_j
-    n_nodes, n_slots = ids.shape[0], gi.shape[0]
+    n_nodes, n_slots = ids.shape[0], layout.slot_i.shape[0]
+    rows = distinct_rows(layout)
 
     node_vecs = x[:, None] * params.value("node_embed")[ids]
 
@@ -435,10 +551,10 @@ def forward_batch(
         edge_values = pinned
     else:
         edge_vecs = params.value("edge_embed")[ids]
-        edge_prod = nc.elementwise_product(edge_vecs[gi], edge_vecs[gj])
-        edge_pre = nc.linear(params.value("edge_hidden_w"), edge_prod, params.value("edge_hidden_b"))
-        edge_act = nc.relu(edge_pre)
-        log_alpha = nc.linear(params.value("edge_out_w"), edge_act, params.value("edge_out_b"))[:, 0]
+        edge_prod, edge_pre, edge_act, logits = _edge_mlp(
+            edge_vecs[rows.edge_i], edge_vecs[rows.edge_j], params
+        )
+        log_alpha = _to_slots(logits, rows.edge_row_of)
         if noise is not None:
             if np.shape(noise) != (n_slots,):
                 raise nc.ShapeError(f"noise shape {np.shape(noise)}, expected ({n_slots},)")
@@ -452,10 +568,13 @@ def forward_batch(
             gate = gates.deterministic_batch(log_alpha, cfg.gate)
         edge_values = gate.value
 
-    pair_prod = nc.elementwise_product(node_vecs[gi], node_vecs[gj])
+    pair_prod = nc.elementwise_product(node_vecs[rows.pair_i], node_vecs[rows.pair_j])
     pair_pre = nc.linear(params.value("pair_hidden_w"), pair_prod, params.value("pair_hidden_b"))
     pair_act = nc.relu(pair_pre)
-    interactions = nc.linear(params.value("pair_out_w"), pair_act, params.value("pair_out_b"))
+    interactions = _to_slots(
+        nc.linear(params.value("pair_out_w"), pair_act, params.value("pair_out_b")),
+        rows.pair_row_of,
+    )
 
     # each slot enters its first end, off-diagonal slots also their second
     targets, sources = layout.gather_targets, layout.gather_sources
@@ -480,6 +599,7 @@ def forward_batch(
 
     return Forward(
         layout=layout,
+        rows=rows,
         mode=mode,
         edge_vecs=edge_vecs,
         node_vecs=node_vecs,
@@ -543,8 +663,8 @@ def backward(
     lay = trace.layout
     ids, x = lay.ids, lay.values
     gi, gj, off = lay.slot_i, lay.slot_j, lay.offdiag
+    rows = trace.rows
     n_nodes = ids.shape[0]
-    both_ends = np.concatenate((gi, gj))
 
     # score = mean of its node readouts; readout row r_i = readout . (x_i v'_i)
     g_node_readout = (np.asarray(d_score, dtype=np.float64) / lay.counts)[lay.node_instance]
@@ -571,9 +691,11 @@ def backward(
     if d_interactions is not None:
         g_interactions = g_interactions + d_interactions
 
-    # pair MLP
+    # pair MLP, over the distinct pair rows
     g_w, g_pair_act, g_b = nc.linear_backward(
-        params.value("pair_out_w"), trace.pair_act, g_interactions
+        params.value("pair_out_w"),
+        trace.pair_act,
+        _to_rows(g_interactions, rows.pair_row_of, trace.pair_act.shape[0]),
     )
     store.accumulate("pair_out_w", g_w)
     store.accumulate("pair_out_b", g_b)
@@ -583,10 +705,11 @@ def backward(
     )
     store.accumulate("pair_hidden_w", g_w)
     store.accumulate("pair_hidden_b", g_b)
+    pi, pj = rows.pair_i, rows.pair_j
     g_ui, g_uj = nc.elementwise_product_backward(
-        trace.node_vecs[gi], trace.node_vecs[gj], g_pair_prod
+        trace.node_vecs[pi], trace.node_vecs[pj], g_pair_prod
     )
-    g_node_vecs = _segment_sum(np.concatenate((g_ui, g_uj)), both_ends, n_nodes)
+    g_node_vecs = _segment_sum(np.concatenate((g_ui, g_uj)), np.concatenate((pi, pj)), n_nodes)
     np.add.at(store.grad("node_embed"), ids, x[:, None] * g_node_vecs)
 
     # edge side (absent for pinned gates)
@@ -600,8 +723,9 @@ def backward(
     if d_log_alpha is not None:
         g_log_alpha = g_log_alpha + d_log_alpha
 
+    g_logits = _to_rows(g_log_alpha, rows.edge_row_of, trace.edge_act.shape[0])
     g_w, g_edge_act, g_b = nc.linear_backward(
-        params.value("edge_out_w"), trace.edge_act, g_log_alpha[:, None]
+        params.value("edge_out_w"), trace.edge_act, g_logits[:, None]
     )
     store.accumulate("edge_out_w", g_w)
     store.accumulate("edge_out_b", g_b)
@@ -611,10 +735,11 @@ def backward(
     )
     store.accumulate("edge_hidden_w", g_w)
     store.accumulate("edge_hidden_b", g_b)
+    ei, ej = rows.edge_i, rows.edge_j
     g_vei, g_vej = nc.elementwise_product_backward(
-        trace.edge_vecs[gi], trace.edge_vecs[gj], g_edge_prod
+        trace.edge_vecs[ei], trace.edge_vecs[ej], g_edge_prod
     )
-    g_edge_vecs = _segment_sum(np.concatenate((g_vei, g_vej)), both_ends, n_nodes)
+    g_edge_vecs = _segment_sum(np.concatenate((g_vei, g_vej)), np.concatenate((ei, ej)), n_nodes)
     np.add.at(store.grad("edge_embed"), ids, g_edge_vecs)
 
 
@@ -728,16 +853,23 @@ def score_only(
     ).score
 
 
-def edge_logit(i: int, j: int, params: ModelParams) -> float:
+def edge_logit(i, j, params: ModelParams):
     """Gate location for the unordered feature pair (i, j); symmetric in its
-    arguments because the pair enters as an elementwise product."""
+    arguments because the pair enters as an elementwise product. Scalar ids
+    give a float; equal-length id arrays give one logit per pair from one
+    batched pass of the edge MLP."""
+    ii, jj = np.asarray(i), np.asarray(j)
+    if ii.shape != jj.shape or ii.ndim > 1:
+        raise ValueError(f"pair id arrays of shapes {ii.shape} and {jj.shape}")
+    ii, jj, scalar = ii.reshape(-1), jj.reshape(-1), ii.ndim == 0
     vocab = params.config.vocab_size
-    if not (0 <= i < vocab and 0 <= j < vocab):
-        raise ValueError(f"pair ({i}, {j}) outside vocabulary of {vocab}")
+    outside = np.flatnonzero((ii < 0) | (ii >= vocab) | (jj < 0) | (jj >= vocab))
+    if outside.size:
+        n = outside[0]
+        raise ValueError(f"pair ({ii[n]}, {jj[n]}) outside vocabulary of {vocab}")
     table = params.value("edge_embed")
-    prod = nc.elementwise_product(table[i], table[j])
-    hidden = nc.relu(nc.linear(params.value("edge_hidden_w"), prod, params.value("edge_hidden_b")))
-    return float(nc.linear(params.value("edge_out_w"), hidden, params.value("edge_out_b"))[0])
+    logits = _edge_mlp(table[ii], table[jj], params)[3]
+    return float(logits[0]) if scalar else logits
 
 
 def interaction_vector(u_i: np.ndarray, u_j: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -466,12 +466,9 @@ def run_ablation(
     gates the aggregation side converges in far fewer epochs than the gated
     model, and the study runs 2 * len(ratios) * repeats retrains."""
     universe = sorted(evaluate.co_occurring_pairs(train_ds))
-    gate_values = {
-        (i, j): gates.eval_deterministic(model_mod.edge_logit(i, j, trained), trained.config.gate)
-        for i, j in universe
-    }
-    predicted = sorted(p for p in universe if gate_values[p] > threshold)
-    reversed_set = sorted(p for p in universe if gate_values[p] <= threshold)
+    is_open = evaluate.pair_gates(universe, trained) > threshold
+    predicted = [p for p, o in zip(universe, is_open) if o]
+    reversed_set = [p for p, o in zip(universe, is_open) if not o]
     sources = {"predicted": predicted, "reversed": reversed_set}
 
     rows: list[AblationRow] = []

@@ -241,6 +241,27 @@ def test_config_file_bad_line_is_an_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_config_value_of_the_wrong_type_names_key_and_file(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=3.5\n")
+    rc = cli.main(["train", "--data", str(synth_dir / "data.txt"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "epochs" in err and str(cfg) in err and "'3.5'" in err
+
+
+def test_bad_data_header_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "data.txt"
+    path.write_text("vocab_size=abc\n1 0 1\n0 1 2\n")
+    rc = cli.main(["train", "--data", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "line 1" in err
+
+
 def test_missing_data_file_reports_error(tmp_path, capsys):
     rc = cli.main(
         ["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]

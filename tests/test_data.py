@@ -78,6 +78,18 @@ def test_parse_error_carries_line_number(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "header", ["vocab_size=abc", "vocab_size=", "vocab_size=2.5", "vocab_size=0", "vocab_size=-3"]
+)
+def test_bad_vocab_size_header_names_file_and_line(header, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{header}\n1 2 3\n")
+    with pytest.raises(ValueError) as exc:
+        data.load_dataset(path)
+    message = str(exc.value)
+    assert str(path) in message and "line 1" in message and repr(header) in message
+
+
 def test_format_line_round_trips_and_uses_bare_indices():
     inst = data.make_instance([3, 7], [1.0, 2.5], 1)
     line = data.format_line(inst)

@@ -380,6 +380,156 @@ def test_pinned_lookup_matches_set_membership():
 
 
 # ---------------------------------------------------------------------------
+# Distinct rows: each MLP runs once per distinct input of a layout.
+
+MIXED_FEATURE = 2
+
+
+def repeating_batch(seed, n=30, vocab=5):
+    """Instances over a few features, so feature pairs repeat across
+    instances. Feature MIXED_FEATURE carries value 1 in some instances and
+    0.5 in others; every other feature has value 1."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        k = int(rng.integers(1, vocab))
+        nodes = sorted(rng.choice(vocab, size=k, replace=False).tolist())
+        values = [rng.choice([0.5, 1.0]) if f == MIXED_FEATURE else 1.0 for f in nodes]
+        out.append(data.make_instance(nodes, values, int(rng.integers(0, 2))))
+    return out
+
+
+def test_layout_rows_are_the_distinct_mlp_inputs():
+    layout = model.PairLayout.of(repeating_batch(seed=1))
+    ids, x = layout.ids, layout.values
+    gi, gj = layout.slot_i, layout.slot_j
+    rows = model.distinct_rows(layout)
+    pi, pj = rows.pair_i, rows.pair_j
+    slot_inputs = list(zip(ids[gi], x[gi], ids[gj], x[gj]))
+    row_inputs = list(zip(ids[pi], x[pi], ids[pj], x[pj]))
+    assert len(set(row_inputs)) == len(row_inputs)
+    assert [row_inputs[r] for r in rows.pair_row_of] == slot_inputs
+    edge_codes = ids[rows.edge_i] * 2**31 + ids[rows.edge_j]
+    assert len(set(edge_codes)) == len(edge_codes)
+    np.testing.assert_array_equal(edge_codes[rows.edge_row_of], layout.pair_codes())
+    for row_of in (rows.pair_row_of, rows.edge_row_of):  # in first-slot order
+        _, first_slot = np.unique(row_of, return_index=True)
+        assert np.all(np.diff(first_slot) > 0)
+    # pairs repeat, and the mixed feature's two values keep its pair rows
+    # apart but share its edge row
+    assert len(edge_codes) < len(row_inputs) < gi.shape[0] / 3
+    self_rows = [r for r in row_inputs if r[0] == r[2] == MIXED_FEATURE]
+    assert sorted(r[1] for r in self_rows) == [0.5, 1.0]
+
+
+def test_layout_of_distinct_slots_has_identity_rows():
+    batch = [data.make_instance([0, 3, 4], [1.0, 1.0, 1.0], 1),
+             data.make_instance([1, 2], [1.0, 1.0], 0),
+             data.make_instance([3, 4], [0.5, 2.0], 0)]  # features 3, 4 at other values
+    layout = model.PairLayout.of(batch)
+    rows = model.distinct_rows(layout)
+    assert rows.edge_i.shape[0] < layout.slot_i.shape[0]
+    np.testing.assert_array_equal(rows.pair_row_of, np.arange(layout.slot_i.shape[0]))
+    np.testing.assert_array_equal(rows.pair_i, layout.slot_i)
+    np.testing.assert_array_equal(rows.pair_j, layout.slot_j)
+
+
+@pytest.mark.parametrize("override", [False, True], ids=["soft-degree", "degree-override"])
+@pytest.mark.parametrize("source", SOURCES)
+def test_engine_matches_reference_on_repeated_pairs(source, override):
+    rng = np.random.default_rng(10 + SOURCES.index(source))
+    params = ModelParams.random(SMALL, seed=6)
+    batch = repeating_batch(seed=2)
+    per = gate_inputs(source, batch, rng)
+    degree = [rng.uniform(0.5, 2.0, size=inst.n_nodes) for inst in batch] if override else None
+    refs = [
+        reference_forward(inst, params, noise=o.get("noise"), pinned=o.get("pinned"),
+                          binary=o.get("binary", False),
+                          degree_override=None if degree is None else degree[n])
+        for n, (inst, o) in enumerate(zip(batch, per))
+    ]
+    layout = model.PairLayout.of(batch)
+    trace = model.forward_batch(layout, params, **engine_options(per, degree))
+    rows = trace.rows
+    assert rows.pair_i.shape[0] < layout.slot_i.shape[0]
+    assert trace.pair_pre.shape == (rows.pair_i.shape[0], SMALL.hidden_dim)
+    if source != "pinned":
+        assert trace.edge_pre.shape == (rows.edge_i.shape[0], SMALL.hidden_dim)
+        assert_close(trace.log_alpha, np.concatenate([r.log_alpha for r in refs]), "log_alpha")
+
+    assert_close(trace.scores, [r.score for r in refs], "scores")
+    assert_close(trace.interactions, np.concatenate([r.interactions for r in refs]),
+                 "interactions")
+    assert_close(trace.edge_values, np.concatenate([r.edge_values for r in refs]), "gates")
+    assert_close(trace.node_update, np.concatenate([r.node_update for r in refs]), "node_update")
+    assert_close(
+        model._contributions(trace, params),
+        np.concatenate([reference_contributions(r, params) for r in refs]),
+        "contributions",
+    )
+    if source == "stochastic":  # repeated pairs share a gate location, not a gate
+        spread = [np.ptp(trace.edge_values[rows.edge_row_of == r])
+                  for r in range(rows.edge_i.shape[0])]
+        assert max(spread) > 0.1
+    if source == "binary":
+        return
+    d_score = rng.standard_normal(len(batch))
+    d_inter = [rng.standard_normal(r.interactions.shape) for r in refs]
+    d_la = None if source == "pinned" else [rng.standard_normal(r.edge_values.shape) for r in refs]
+    _, want = grads_of(params, lambda: [
+        reference_backward(r, params, float(d_score[n]), d_interactions=d_inter[n],
+                           d_log_alpha=None if d_la is None else d_la[n])
+        for n, r in enumerate(refs)
+    ])
+    _, got = grads_of(params, lambda: model.backward(
+        trace, params, d_score, d_interactions=np.concatenate(d_inter),
+        d_log_alpha=None if d_la is None else np.concatenate(d_la),
+    ))
+    for name in model.PARAM_ORDER:
+        assert_close(got[name], want[name], name)
+
+
+def test_one_instance_layout_runs_its_mlps_on_exactly_its_slots(monkeypatch):
+    def no_unique_pass(*args):
+        raise AssertionError("a one-instance layout needs no unique pass")
+
+    monkeypatch.setattr(model, "_first_appearance", no_unique_pass)
+    params = ModelParams.random(SMALL, seed=4)
+    for inst in ragged_batch(seed=5):
+        k, n_slots = inst.n_nodes, model.pair_count(inst.n_nodes)
+        layout = model.PairLayout.of((inst,))
+        rows = model.distinct_rows(layout)
+        assert rows is model._single_rows(k)
+        assert rows.pair_i is rows.edge_i is layout.slot_i
+        assert rows.pair_j is rows.edge_j is layout.slot_j
+        assert rows.pair_row_of is rows.edge_row_of
+        np.testing.assert_array_equal(rows.pair_row_of, np.arange(n_slots))
+        trace = model.forward(inst, params, noise=np.full(n_slots, 0.3))
+        assert trace.pair_pre.shape == trace.edge_pre.shape == (n_slots, SMALL.hidden_dim)
+        assert trace.interactions.shape == (n_slots, SMALL.interaction_dim)
+        model.backward(trace, params, 1.0)
+
+
+@pytest.mark.parametrize("name", ["l0sign-noise", "sign-fixed"])
+def test_risk_at_the_chunk_budget_matches_reference(name, monkeypatch):
+    tcfg, _ = risk_modes()[name]
+    params = ModelParams.random(SMALL, seed=13)
+    instances = repeating_batch(seed=3, n=150, vocab=SMALL.vocab_size)
+    assert sum(model.pair_count(inst.n_nodes) for inst in instances) > 2 * model.CHUNK_SLOTS
+    assert len(list(model.chunk_layouts(instances))) > 2
+    batch = [(3 * n + 1, inst) for n, inst in enumerate(instances)]
+    want, want_grads = grads_of(params, lambda: reference_risk(batch, params, tcfg, epoch=2,
+                                                               noise_seed=tcfg.seed))
+    for budget in (model.CHUNK_SLOTS, 10**6):  # many chunks, then one
+        monkeypatch.setattr(model, "CHUNK_SLOTS", budget)
+        got, got_grads = grads_of(params, lambda: train.risk(batch, params, tcfg, epoch=2,
+                                                             noise=NoiseStream(tcfg.seed)))
+        assert_close([got.total, got.loss, got.l0, got.l2], want, f"risk parts, budget {budget}")
+        for block in model.PARAM_ORDER:
+            assert_close(got_grads[block], want_grads[block], f"{block}, budget {budget}")
+
+
+# ---------------------------------------------------------------------------
 # Risk: every mode, chunking, and the literal update's sink.
 
 def risk_modes():

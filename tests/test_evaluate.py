@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,28 @@ def test_co_occurring_pairs_counts_include_self():
     assert counts[(0, 0)] == 2
     assert counts[(2, 2)] == 1
     assert (3, 4) not in counts
+
+
+def test_co_occurring_pairs_matches_a_pair_loop():
+    """Across engine chunks, with feature ids far above the chunk budget."""
+    rng = np.random.default_rng(5)
+    vocab = 70_000
+    pool = rng.choice(vocab, size=30, replace=False)
+    instances = [
+        data.make_instance(rng.choice(pool, size=k, replace=False).tolist(), [1.0] * k, 0)
+        for k in rng.integers(1, 9, size=200)
+    ]
+    ds = data.Dataset(instances=instances, vocab_size=vocab)
+    assert sum(model.pair_count(inst.n_nodes) for inst in instances) > model.CHUNK_SLOTS
+    want = Counter()
+    for inst in instances:
+        for a in range(inst.n_nodes):
+            for b in range(a, inst.n_nodes):
+                want[(inst.nodes[a], inst.nodes[b])] += 1
+    got = evaluate.co_occurring_pairs(ds)
+    assert got == want
+    assert all(type(i) is int and type(j) is int for i, j in got)
+    assert evaluate.co_occurring_pairs(data.Dataset(instances=[], vocab_size=3)) == Counter()
 
 
 def test_edge_report_gates_and_fraction():

@@ -99,6 +99,21 @@ def test_edge_logit_symmetric_and_matches_reference():
             assert la == pytest.approx(float((w2 @ hidden + b2)[0]), abs=1e-12)
 
 
+def test_edge_logit_batches_over_id_arrays():
+    params = ModelParams.random(SMALL, seed=1)
+    i, j = np.triu_indices(SMALL.vocab_size)
+    batched = model.edge_logit(i, j, params)
+    assert batched.shape == i.shape
+    for n in range(i.shape[0]):
+        assert batched[n] == pytest.approx(model.edge_logit(int(i[n]), int(j[n]), params),
+                                           abs=1e-14)
+    assert model.edge_logit(i[:0], j[:0], params).shape == (0,)
+    with pytest.raises(ValueError, match=r"\(3, 12\)"):
+        model.edge_logit([0, 3], [1, SMALL.vocab_size], params)
+    with pytest.raises(ValueError):
+        model.edge_logit([0, 1], [1], params)
+
+
 def test_edge_logit_rejects_out_of_vocab():
     params = ModelParams.random(SMALL, seed=1)
     with pytest.raises(ValueError):
