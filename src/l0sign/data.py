@@ -181,11 +181,17 @@ def load_dataset(path, planted: PlantedPairs | None = None) -> Dataset:
                 f"{path} line 1: vocab_size must be a positive integer, got {lines[0]!r}"
             )
         start = 1
-    instances = [
-        parse_line(line, line_number=n + 1)
-        for n, line in enumerate(lines[start:], start=start)
-        if line.strip()
-    ]
+    instances = []
+    for n, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        inst = parse_line(line, line_number=n)
+        if declared is not None and inst.nodes[-1] >= declared:
+            raise ValueError(
+                f"{path} line {n}: feature index {inst.nodes[-1]} >= declared "
+                f"vocab_size {declared}"
+            )
+        instances.append(inst)
     if not instances:
         raise ValueError(f"no instances in {path}")
     max_node = max(inst.nodes[-1] for inst in instances)

@@ -251,14 +251,15 @@ def explain(
     """Decompose the deterministic-gate score into per-pair contributions.
 
     Every pair with a strictly positive gate is listed, largest
-    |contribution| first; the contributions sum to the raw score exactly
-    (pairs with gate 0 contribute exactly 0).
+    |contribution| first and ties in slot order; the contributions sum to
+    the raw score exactly (pairs with gate 0 contribute exactly 0). Reads
+    the pairs from one engine trace and builds objects only for the listed
+    ones.
     """
-    prediction = model_mod.predict(instance, params)
-    entries = [
-        ExplanationEntry(i=p.i, j=p.j, gate=p.gate, contribution=p.contribution)
-        for p in prediction.pairs
-        if p.gate > 0.0
-    ]
-    entries.sort(key=lambda e: abs(e.contribution), reverse=True)
-    return Explanation(instance_id=instance_id, score=prediction.score, entries=tuple(entries))
+    trace = model_mod.forward(instance, params)
+    i, j, gate, contribution = model_mod.slot_columns(trace, params)
+    kept = np.flatnonzero(gate > 0.0)
+    kept = kept[np.argsort(-np.abs(contribution[kept]), kind="stable")]
+    entries = tuple(map(ExplanationEntry, i[kept].tolist(), j[kept].tolist(),
+                        gate[kept].tolist(), contribution[kept].tolist()))
+    return Explanation(instance_id=instance_id, score=trace.score, entries=entries)

@@ -212,14 +212,15 @@ class PairRows(NamedTuple):
     pair_j[r]) and edge row r the feature pair of nodes (edge_i[r],
     edge_j[r]); slot s reads pair row pair_row_of[s] and edge row
     edge_row_of[s]. When every slot is distinct the rows are the slots
-    themselves, in order."""
+    themselves, in order. The edge fields are None for passes that run no
+    edge MLP (pinned gates)."""
 
     pair_i: np.ndarray
     pair_j: np.ndarray
     pair_row_of: np.ndarray  # (S,)
-    edge_i: np.ndarray
-    edge_j: np.ndarray
-    edge_row_of: np.ndarray  # (S,)
+    edge_i: np.ndarray | None
+    edge_j: np.ndarray | None
+    edge_row_of: np.ndarray | None  # (S,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,15 +311,17 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
-def distinct_rows(layout: PairLayout) -> PairRows:
+def distinct_rows(layout: PairLayout, edges: bool = True) -> PairRows:
     """The distinct MLP inputs of a layout.
 
     Nodes with equal feature id and equal value bits share a token, so a
     pair row is a distinct token pair and repeats exactly in every slot it
-    stands for. Edge rows group the pair rows by feature pair."""
+    stands for. Edge rows group the pair rows by feature pair; without
+    `edges` (a pass with pinned gates) they are left out."""
     if layout.counts.shape[0] == 1:
         # node ids strictly increase, so every slot is its own row
-        return _single_rows(layout.ids.shape[0])
+        rows = _single_rows(layout.ids.shape[0])
+        return rows if edges else rows._replace(edge_i=None, edge_j=None, edge_row_of=None)
     ids, slot_i, slot_j = layout.ids, layout.slot_i, layout.slot_j
     bits = layout.values.view(np.int64)
     order = np.lexsort((bits, ids))
@@ -331,6 +334,8 @@ def distinct_rows(layout: PairLayout) -> PairRows:
         token[slot_i] * int(np.count_nonzero(new)) + token[slot_j]
     )
     pair_i, pair_j = slot_i[pair_rows], slot_j[pair_rows]
+    if not edges:
+        return PairRows(pair_i, pair_j, pair_row_of, None, None, None)
     edge_rows, edge_of_pair_row = _first_appearance(
         ids[pair_i] * _PAIR_CODE_BASE + ids[pair_j]
     )
@@ -537,7 +542,7 @@ def forward_batch(
     cfg = params.config
     ids, x = layout.ids, layout.values
     n_nodes, n_slots = ids.shape[0], layout.slot_i.shape[0]
-    rows = distinct_rows(layout)
+    rows = distinct_rows(layout, edges=pinned_edges is None)
 
     node_vecs = x[:, None] * params.value("node_embed")[ids]
 
@@ -796,21 +801,25 @@ def _contributions(trace: Forward, params: ModelParams) -> np.ndarray:
     return trace.edge_values * readout_of_z * slot_weight / lay.counts[lay.slot_instance]
 
 
+def slot_columns(
+    trace: Forward, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, gate, contribution) arrays with one entry per slot: the
+    slot's feature pair, its gate value and its additive share of the
+    score. Explanations and predictions read their pairs from these."""
+    lay = trace.layout
+    return (lay.ids[lay.slot_i], lay.ids[lay.slot_j], trace.edge_values,
+            _contributions(trace, params))
+
+
 def _prediction_from(trace: Forward, params: ModelParams) -> Prediction:
-    ids = trace.instance.node_array
-    contrib = _contributions(trace, params)
-    pairs = tuple(
-        PairAnalysis(
-            i=int(ids[a]),
-            j=int(ids[b]),
-            gate=float(trace.edge_values[p]),
-            log_alpha=None if trace.log_alpha is None else float(trace.log_alpha[p]),
-            interaction=trace.interactions[p].copy(),
-            contribution=float(contrib[p]),
-        )
-        for p, (a, b) in enumerate(zip(trace.layout.slot_i, trace.layout.slot_j))
-    )
-    return Prediction(score=trace.score, node_updates=trace.node_update.copy(), pairs=pairs)
+    score = trace.score  # one instance only
+    i, j, gate, contribution = slot_columns(trace, params)
+    log_alpha = [None] * gate.shape[0] if trace.log_alpha is None else trace.log_alpha.tolist()
+    # each pair's interaction is a row of one copy, not a view of the trace
+    pairs = tuple(map(PairAnalysis, i.tolist(), j.tolist(), gate.tolist(), log_alpha,
+                      trace.interactions.copy(), contribution.tolist()))
+    return Prediction(score=score, node_updates=trace.node_update.copy(), pairs=pairs)
 
 
 def predict(

@@ -262,6 +262,16 @@ def test_bad_data_header_is_one_error_line(tmp_path, capsys):
     assert str(path) in err and "line 1" in err
 
 
+def test_feature_beyond_declared_vocab_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "data.txt"
+    path.write_text("vocab_size=3\n1 0 5\n")
+    rc = cli.main(["train", "--data", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "line 2" in err and "feature index 5" in err
+
+
 def test_missing_data_file_reports_error(tmp_path, capsys):
     rc = cli.main(
         ["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")]

@@ -90,6 +90,15 @@ def test_bad_vocab_size_header_names_file_and_line(header, tmp_path):
     assert str(path) in message and "line 1" in message and repr(header) in message
 
 
+def test_feature_index_beyond_declared_vocab_names_file_and_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("vocab_size=3\n1 0 2\n\n0 1 5\n1 0\n")
+    with pytest.raises(ValueError) as exc:
+        data.load_dataset(path)
+    message = str(exc.value)
+    assert str(path) in message and "line 4" in message and "5 >= declared vocab_size 3" in message
+
+
 def test_format_line_round_trips_and_uses_bare_indices():
     inst = data.make_instance([3, 7], [1.0, 2.5], 1)
     line = data.format_line(inst)

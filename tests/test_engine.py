@@ -510,6 +510,39 @@ def test_one_instance_layout_runs_its_mlps_on_exactly_its_slots(monkeypatch):
         model.backward(trace, params, 1.0)
 
 
+@pytest.mark.parametrize("batch", [repeating_batch(seed=3), ragged_batch(seed=6)[2:3]],
+                         ids=["repeating", "one-instance"])
+def test_pinned_trace_carries_no_edge_rows(batch, monkeypatch):
+    rng = np.random.default_rng(12)
+    params = ModelParams.random(SMALL, seed=7)
+    per = gate_inputs("pinned", batch, rng)
+    refs = [reference_forward(inst, params, pinned=o["pinned"]) for inst, o in zip(batch, per)]
+    unique_passes = []
+    first_appearance = model._first_appearance
+
+    def counted(keys):
+        unique_passes.append(keys.shape[0])
+        return first_appearance(keys)
+
+    monkeypatch.setattr(model, "_first_appearance", counted)
+    trace = model.forward_batch(model.PairLayout.of(batch), params, **engine_options(per))
+    assert trace.rows.edge_i is trace.rows.edge_j is trace.rows.edge_row_of is None
+    assert len(unique_passes) == (len(batch) > 1)  # the pair rows' pass only
+    assert_close(trace.scores, [r.score for r in refs], "scores")
+    assert_close(trace.interactions, np.concatenate([r.interactions for r in refs]),
+                 "interactions")
+    d_score = rng.standard_normal(len(batch))
+    d_inter = [rng.standard_normal(r.interactions.shape) for r in refs]
+    _, want = grads_of(params, lambda: [
+        reference_backward(r, params, float(d_score[n]), d_interactions=d_inter[n])
+        for n, r in enumerate(refs)
+    ])
+    _, got = grads_of(params, lambda: model.backward(
+        trace, params, d_score, d_interactions=np.concatenate(d_inter)))
+    for name in model.PARAM_ORDER:
+        assert_close(got[name], want[name], name)
+
+
 @pytest.mark.parametrize("name", ["l0sign-noise", "sign-fixed"])
 def test_risk_at_the_chunk_budget_matches_reference(name, monkeypatch):
     tcfg, _ = risk_modes()[name]

@@ -1,3 +1,4 @@
+import struct
 from collections import Counter
 
 import numpy as np
@@ -300,3 +301,91 @@ def test_explain_all_closed_gives_empty_entries():
     explanation = evaluate.explain(inst, params)
     assert explanation.entries == ()
     assert explanation.score == 0.0
+
+
+def reference_explanation(inst, params, instance_id=None):
+    """explain as it was built before it read the trace's arrays: one record
+    per slot, the open ones kept, then a stable Python sort."""
+    trace = model.forward(inst, params)
+    ids = inst.node_array
+    contrib = model._contributions(trace, params)
+    entries = [
+        evaluate.ExplanationEntry(i=int(ids[a]), j=int(ids[b]), gate=float(trace.edge_values[p]),
+                                  contribution=float(contrib[p]))
+        for p, (a, b) in enumerate(zip(trace.layout.slot_i, trace.layout.slot_j))
+    ]
+    entries = [e for e in entries if e.gate > 0.0]
+    entries.sort(key=lambda e: abs(e.contribution), reverse=True)
+    return evaluate.Explanation(instance_id=instance_id, score=trace.score, entries=tuple(entries))
+
+
+def exact(explanation):
+    """Every field of an explanation with its type, floats as IEEE bytes."""
+    def bits(x):
+        return type(x).__name__, struct.pack("<d", x)
+
+    return (
+        explanation.instance_id,
+        bits(explanation.score),
+        [(type(e.i).__name__, e.i, type(e.j).__name__, e.j, bits(e.gate), bits(e.contribution))
+         for e in explanation.entries],
+    )
+
+
+EXPLAIN_CFG = ModelConfig(vocab_size=10, edge_dim=4, interaction_dim=4, hidden_dim=6)
+
+
+def explain_case(name, seed):
+    """(instance, params) of one equivalence case."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 8))
+    nodes = sorted(rng.choice(EXPLAIN_CFG.vocab_size, size=k, replace=False).tolist())
+    inst = data.make_instance(nodes, rng.uniform(0.2, 2.0, size=k).tolist(), 1)
+    params = ModelParams.random(EXPLAIN_CFG, seed=seed)
+    if name == "some-closed":
+        params.value("edge_out_b")[...] = -1.5
+    elif name == "all-closed":
+        params.value("edge_out_b")[...] = -60.0
+    elif name == "ties":  # every contribution is 0: entries come in slot order
+        params.value("readout")[...] = 0.0
+    return inst, params
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", ["random", "some-closed", "all-closed", "ties"])
+def test_explain_equals_the_per_slot_build(name, seed):
+    inst, params = explain_case(name, seed)
+    for instance_id in (None, seed):
+        got = evaluate.explain(inst, params, instance_id=instance_id)
+        want = reference_explanation(inst, params, instance_id=instance_id)
+        assert exact(got) == exact(want)
+        assert got.instance_id == instance_id
+    if name == "all-closed":
+        assert got.entries == ()
+    if name == "ties":
+        assert all(e.contribution == 0.0 for e in got.entries)
+        slots = [(i, j) for n, i in enumerate(inst.nodes) for j in inst.nodes[n:]]
+        positions = [slots.index((e.i, e.j)) for e in got.entries]
+        assert positions == sorted(positions)
+
+
+def test_explain_builds_no_prediction_and_runs_one_forward(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("explain built a Prediction or PairAnalysis")
+
+    calls = []
+    forward = model.forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "PairAnalysis", refuse)
+    monkeypatch.setattr(model, "Prediction", refuse)
+    monkeypatch.setattr(model, "forward", counted)
+    for seed in range(3):
+        inst, params = explain_case("some-closed", seed)
+        explanation = evaluate.explain(inst, params, instance_id=seed)
+        assert len(calls) == seed + 1 and explanation.entries
+        assert sum(e.contribution for e in explanation.entries) == pytest.approx(
+            explanation.score, abs=1e-12)

@@ -1,3 +1,6 @@
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,100 @@ def test_predict_fixed_accepts_pair_sets():
     complete = model.predict_fixed(inst, params, model.complete_edges(inst))
     all_pairs = {(i, j) for i in (2, 5, 9) for j in (2, 5, 9) if i <= j}
     assert complete.score == model.predict_fixed(inst, params, all_pairs).score
+
+
+# ---------------------------------------------------------------------------
+# Predictions read from the trace's arrays, against the per-slot build
+
+def reference_prediction(trace, params):
+    """The Prediction of a one-instance trace, one slot at a time, as it was
+    built before `slot_columns`."""
+    ids = trace.instance.node_array
+    contrib = model._contributions(trace, params)
+    pairs = tuple(
+        model.PairAnalysis(
+            i=int(ids[a]),
+            j=int(ids[b]),
+            gate=float(trace.edge_values[p]),
+            log_alpha=None if trace.log_alpha is None else float(trace.log_alpha[p]),
+            interaction=trace.interactions[p].copy(),
+            contribution=float(contrib[p]),
+        )
+        for p, (a, b) in enumerate(zip(trace.layout.slot_i, trace.layout.slot_j))
+    )
+    return model.Prediction(score=trace.score, node_updates=trace.node_update.copy(), pairs=pairs)
+
+
+def exact(value):
+    """A value down to its bits: floats as IEEE bytes, arrays as dtype,
+    shape and bytes, dataclasses and tuples field by field, with types."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(
+            exact(getattr(value, f.name)) for f in dataclasses.fields(value)
+        )
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if isinstance(value, float):
+        return (type(value).__name__, struct.pack("<d", value))
+    return (type(value).__name__, value)
+
+
+def closed_gate_params(seed, closed_bias):
+    """Random parameters whose edge output bias pushes many (or, at a large
+    negative bias, all) gates to exactly 0."""
+    params = ModelParams.random(SMALL, seed=seed)
+    params.value("edge_out_b")[...] = closed_bias
+    return params
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("closed_bias", [None, -1.5, -60.0], ids=["random", "some-closed",
+                                                                   "all-closed"])
+@pytest.mark.parametrize("binary", [False, True], ids=["graded", "binary"])
+def test_predict_equals_the_per_slot_build(seed, closed_bias, binary):
+    rng = np.random.default_rng(300 + seed)
+    params = (ModelParams.random(SMALL, seed=seed) if closed_bias is None
+              else closed_gate_params(seed, closed_bias))
+    inst = random_instance(rng, SMALL.vocab_size, k=int(rng.integers(1, 8)))
+    got = model.predict(inst, params, binary_gates=binary)
+    want = reference_prediction(model.forward(inst, params, binary_gates=binary), params)
+    assert exact(got) == exact(want)
+    if closed_bias == -60.0:
+        assert all(p.gate == 0.0 for p in got.pairs) and got.score == 0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_predict_fixed_equals_the_per_slot_build(seed):
+    rng = np.random.default_rng(400 + seed)
+    params = ModelParams.random(SMALL, seed=seed)
+    inst = random_instance(rng, SMALL.vocab_size, k=int(rng.integers(1, 8)))
+    n_slots = model.pair_count(inst.n_nodes)
+    pinned = rng.uniform(0.0, 1.0, size=n_slots) * (rng.random(n_slots) < 0.6)
+    got = model.predict_fixed(inst, params, pinned)
+    want = reference_prediction(model.forward(inst, params, pinned_edges=pinned), params)
+    assert exact(got) == exact(want)
+    assert all(p.log_alpha is None for p in got.pairs)
+    pairs = {(i, j) for i in inst.nodes for j in inst.nodes if i <= j and rng.random() < 0.5}
+    got = model.predict_fixed(inst, params, pairs)
+    want = reference_prediction(
+        model.forward(inst, params, pinned_edges=model.edges_for_instance(inst, pairs)), params
+    )
+    assert exact(got) == exact(want)
+
+
+def test_prediction_interactions_are_independent():
+    params = ModelParams.random(SMALL, seed=8)
+    inst = data.make_instance([1, 4, 6], [0.5, 1.0, 1.5], 1)
+    pred = model.predict(inst, params)
+    before = [p.interaction.copy() for p in pred.pairs]
+    pred.pairs[0].interaction[:] = 99.0
+    for p, was in zip(pred.pairs[1:], before[1:]):
+        np.testing.assert_array_equal(p.interaction, was)
+    fresh = model.predict(inst, params)
+    for p, was in zip(fresh.pairs, before):
+        np.testing.assert_array_equal(p.interaction, was)
 
 
 def test_degree_override_replaces_denominator():
