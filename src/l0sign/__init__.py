@@ -30,7 +30,7 @@ from .evaluate import (
     explain,
     f1,
 )
-from .gates import GateConfig, NoiseStream, eval_deterministic, open_probability, sample
+from .gates import GateConfig, NoiseStream, eval_deterministic, open_probability
 from .model import (
     ModelConfig,
     ModelParams,
@@ -80,7 +80,6 @@ __all__ = [
     "predict_fixed",
     "risk",
     "run_ablation",
-    "sample",
     "save_checkpoint",
     "save_dataset",
     "split",

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,23 +21,35 @@ from .data import Dataset, PlantedPairs, SplitSpec
 from .model import ModelConfig, ModelParams
 from .train import TrainConfig
 
+# setting key -> the TrainConfig / ModelConfig field it sets, and whose
+# default it takes
+_TRAIN_KEYS = {
+    "seed": "seed",
+    "lr": "lr",
+    "batch": "batch_size",
+    "epochs": "epochs",
+    "lambda1": "lambda1",
+    "lambda2": "lambda2",
+    "initial_accumulator": "initial_accumulator",
+    "mode": "mode",
+    "embedding_update": "embedding_update",
+    "threshold": "gate_threshold",
+}
+_MODEL_KEYS = {"edge_dim": "edge_dim", "interaction_dim": "interaction_dim",
+              "hidden_dim": "hidden_dim"}
+
+
+def _field_defaults(cls, keys: dict[str, str]) -> dict:
+    default = {f.name: f.default for f in fields(cls)}
+    return {key: default[name] for key, name in keys.items()}
+
+
 DEFAULTS = {
-    "seed": 0,
-    "lr": 0.05,
-    "batch": 1024,
-    "epochs": 60,
-    "lambda1": 1e-3,
-    "lambda2": 1e-3,
-    "initial_accumulator": 1e-6,
-    "mode": "l0sign",
+    **_field_defaults(TrainConfig, _TRAIN_KEYS),
+    **_field_defaults(ModelConfig, _MODEL_KEYS),
     "split": "0.7,0.15,0.15",
     "split_name": "test",
     "ratios": "0.2,0.4,0.6,0.8,1.0",
-    "threshold": 0.5,
-    "edge_dim": 8,
-    "interaction_dim": 8,
-    "hidden_dim": 32,
-    "embedding_update": "gradient",
     "vocab": 20,
     "samples": 5000,
     "nodes_per_sample": 6,
@@ -51,7 +64,8 @@ DEFAULTS = {
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; '#' starts a comment; blank lines ignored."""
+    """Flat key=value lines; '#' starts a comment; blank lines ignored.
+    Every key must be a setting of DEFAULTS."""
     out: dict[str, str] = {}
     for n, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -59,8 +73,11 @@ def parse_config_file(path) -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep or not key.strip():
-            raise ValueError(f"bad config line {n}: {raw!r}")
-        out[key.strip().replace("-", "_")] = value.strip()
+            raise ValueError(f"config file {path} line {n}: expected key=value, got {raw!r}")
+        key = key.strip().replace("-", "_")
+        if key not in DEFAULTS:
+            raise ValueError(f"config file {path} line {n}: unknown key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -101,10 +118,22 @@ def _parse_floats(text: str, expect: int | None = None, name: str = "list") -> t
 
 
 def load_edge_set(path) -> frozenset[tuple[int, int]]:
-    """Edge list JSON: {"pairs": [[i, j], ...]}; extra keys are ignored, so a
-    synthetic ground-truth file works directly."""
-    payload = json.loads(Path(path).read_text())
-    return frozenset((int(i), int(j)) for i, j in payload["pairs"])
+    """Edge list JSON: {"pairs": [[i, j], ...]} with non-negative integer
+    feature ids; extra keys are ignored, so a synthetic ground-truth file
+    works directly."""
+    try:
+        payload = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # also bad UTF-8
+        raise ValueError(f"edge set {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
+        raise ValueError(f'edge set {path}: expected an object with a "pairs" list')
+    for n, pair in enumerate(payload["pairs"]):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(type(v) is int and v >= 0 for v in pair)):
+            raise ValueError(
+                f"edge set {path}: pairs[{n}] is {json.dumps(pair)}, not two feature ids"
+            )
+    return frozenset((i, j) for i, j in payload["pairs"])
 
 
 def _split_spec(settings: Settings) -> SplitSpec:
@@ -141,26 +170,14 @@ def _out_dir(args) -> Path:
 
 def _train_config(settings: Settings, fixed_edges=None) -> TrainConfig:
     return TrainConfig(
-        lr=settings.get("lr"),
-        batch_size=settings.get("batch"),
-        epochs=settings.get("epochs"),
-        lambda1=settings.get("lambda1"),
-        lambda2=settings.get("lambda2"),
-        initial_accumulator=settings.get("initial_accumulator"),
-        mode=settings.get("mode"),
         fixed_edges=fixed_edges,
-        embedding_update=settings.get("embedding_update"),
-        seed=settings.get("seed"),
-        gate_threshold=settings.get("threshold"),
+        **{name: settings.get(key) for key, name in _TRAIN_KEYS.items()},
     )
 
 
 def _model_config(settings: Settings, vocab_size: int) -> ModelConfig:
     return ModelConfig(
-        vocab_size=vocab_size,
-        edge_dim=settings.get("edge_dim"),
-        interaction_dim=settings.get("interaction_dim"),
-        hidden_dim=settings.get("hidden_dim"),
+        vocab_size=vocab_size, **{name: settings.get(key) for key, name in _MODEL_KEYS.items()}
     )
 
 

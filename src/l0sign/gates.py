@@ -13,7 +13,7 @@ P(gate > 0) = sigmoid(log_alpha - temperature * log(-low / high)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +47,6 @@ DEFAULT_GATE = GateConfig()
 
 
 @dataclass(frozen=True)
-class GateSample:
-    """One stochastic gate draw: clamped value, pre-clamp value, and the noise used."""
-
-    value: float
-    pre_clamp: float
-    noise: float
-
-
-@dataclass(frozen=True)
 class GateBatch:
     """Vectorized gate draws for one instance's pair slots."""
 
@@ -72,6 +63,7 @@ def _clamped(s: np.ndarray, config: GateConfig) -> tuple[np.ndarray, np.ndarray]
 
 
 def sample_array(log_alpha: np.ndarray, u: np.ndarray, config: GateConfig = DEFAULT_GATE) -> GateBatch:
+    """Draw each gate from its hard concrete distribution at its noise u."""
     log_alpha = np.asarray(log_alpha, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if u.shape != log_alpha.shape:
@@ -81,14 +73,6 @@ def sample_array(log_alpha: np.ndarray, u: np.ndarray, config: GateConfig = DEFA
     s = nc.sigmoid((np.log(u) - np.log1p(-u) + log_alpha) / config.temperature)
     pre, value = _clamped(s, config)
     return GateBatch(value=value, pre_clamp=pre, noise=u)
-
-
-def sample(log_alpha: float, u: float, config: GateConfig = DEFAULT_GATE) -> GateSample:
-    """Draw one gate value from its hard concrete distribution at noise u."""
-    batch = sample_array(np.asarray([log_alpha]), np.asarray([u]), config)
-    return GateSample(
-        value=float(batch.value[0]), pre_clamp=float(batch.pre_clamp[0]), noise=float(u)
-    )
 
 
 def eval_deterministic(log_alpha, config: GateConfig = DEFAULT_GATE):
@@ -113,12 +97,6 @@ def binary_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> Ga
     return GateBatch(value=(pre > 0.0).astype(np.float64), pre_clamp=pre, noise=None)
 
 
-def edge_exists(log_alpha, config: GateConfig = DEFAULT_GATE):
-    """The existence predicate: a strictly positive deterministic gate."""
-    out = np.asarray(eval_deterministic(log_alpha, config)) > 0.0
-    return bool(out) if out.ndim == 0 else out
-
-
 def open_probability(log_alpha, config: GateConfig = DEFAULT_GATE):
     """P(stochastic gate > 0), the per-gate expected L0 cost."""
     la = np.asarray(log_alpha, dtype=np.float64)
@@ -133,16 +111,13 @@ def open_probability_grad(log_alpha, config: GateConfig = DEFAULT_GATE):
     return float(out) if out.ndim == 0 else out
 
 
-def grad_log_alpha(drawn: GateSample | GateBatch, config: GateConfig = DEFAULT_GATE):
+def grad_log_alpha(drawn: GateBatch, config: GateConfig = DEFAULT_GATE) -> np.ndarray:
     """d gate_value / d log_alpha at the drawn noise; 0 where the clamp is active."""
     pre = np.asarray(drawn.pre_clamp, dtype=np.float64)
     span = config.stretch_high - config.stretch_low
     s = (pre - config.stretch_low) / span
     inside = (pre > 0.0) & (pre < 1.0)
-    grad = np.where(inside, span * s * (1.0 - s) / config.temperature, 0.0)
-    if isinstance(drawn, GateSample):
-        return float(grad)
-    return grad
+    return np.where(inside, span * s * (1.0 - s) / config.temperature, 0.0)
 
 
 def deterministic_grad_log_alpha(log_alpha, config: GateConfig = DEFAULT_GATE):

@@ -79,6 +79,23 @@ class ModelConfig:
             },
         }
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each parameter block, in PARAM_ORDER."""
+        j, b, d, h = self.vocab_size, self.edge_dim, self.interaction_dim, self.hidden_dim
+        return {
+            "node_embed": (j, d),
+            "edge_embed": (j, b),
+            "edge_hidden_w": (h, b),
+            "edge_hidden_b": (h,),
+            "edge_out_w": (1, h),
+            "edge_out_b": (1,),
+            "pair_hidden_w": (h, d),
+            "pair_hidden_b": (h,),
+            "pair_out_w": (d, h),
+            "pair_out_b": (d,),
+            "readout": (d,),
+        }
+
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelConfig":
         g = d["gate"]
@@ -122,24 +139,24 @@ class ModelParams:
         learned which ones are worth protecting.
         """
         rng = np.random.default_rng(seed)
-        j, b, d, h = config.vocab_size, config.edge_dim, config.interaction_dim, config.hidden_dim
+        shape = config.param_shapes()
 
-        def kaiming(shape: tuple[int, int]) -> np.ndarray:
-            bound = np.sqrt(6.0 / shape[1])
-            return rng.uniform(-bound, bound, size=shape)
+        def kaiming(name: str) -> np.ndarray:
+            bound = np.sqrt(6.0 / shape[name][-1])  # fan-in: the last axis
+            return rng.uniform(-bound, bound, size=shape[name])
 
         store = nc.ParamStore()
-        store.add("node_embed", rng.normal(0.0, 0.3, size=(j, d)))
-        store.add("edge_embed", rng.normal(0.0, 0.3, size=(j, b)))
-        store.add("edge_hidden_w", 0.25 * kaiming((h, b)))
-        store.add("edge_hidden_b", np.zeros(h))
-        store.add("edge_out_w", rng.uniform(-0.1, 0.1, size=(1, h)))
-        store.add("edge_out_b", np.asarray([2.5]))
-        store.add("pair_hidden_w", kaiming((h, d)))
-        store.add("pair_hidden_b", np.zeros(h))
-        store.add("pair_out_w", kaiming((d, h)))
-        store.add("pair_out_b", np.zeros(d))
-        store.add("readout", kaiming((1, d))[0])
+        store.add("node_embed", rng.normal(0.0, 0.3, size=shape["node_embed"]))
+        store.add("edge_embed", rng.normal(0.0, 0.3, size=shape["edge_embed"]))
+        store.add("edge_hidden_w", 0.25 * kaiming("edge_hidden_w"))
+        store.add("edge_hidden_b", np.zeros(shape["edge_hidden_b"]))
+        store.add("edge_out_w", rng.uniform(-0.1, 0.1, size=shape["edge_out_w"]))
+        store.add("edge_out_b", np.full(shape["edge_out_b"], 2.5))
+        store.add("pair_hidden_w", kaiming("pair_hidden_w"))
+        store.add("pair_hidden_b", np.zeros(shape["pair_hidden_b"]))
+        store.add("pair_out_w", kaiming("pair_out_w"))
+        store.add("pair_out_b", np.zeros(shape["pair_out_b"]))
+        store.add("readout", kaiming("readout"))
         return cls(config, store)
 
     @classmethod
@@ -150,10 +167,9 @@ class ModelParams:
         pre-activation within ~1e-4 of its kink; finite differences need to
         probe far from such boundaries."""
         rng = np.random.default_rng(seed)
-        base = cls.init(config, seed)
         store = nc.ParamStore()
-        for name in PARAM_ORDER:
-            store.add(name, rng.normal(0.0, scale, size=base.value(name).shape))
+        for name, shape in config.param_shapes().items():
+            store.add(name, rng.normal(0.0, scale, size=shape))
         return cls(config, store)
 
     def clone(self) -> "ModelParams":
@@ -427,13 +443,6 @@ def edges_for_instance(instance: Instance, edge_set: Iterable[tuple[int, int]]) 
     return pinned_edges(PairLayout.of((instance,)), edge_codes(edge_set))
 
 
-def complete_edges(instance: Instance, include_self: bool = True) -> np.ndarray:
-    pi, pj = pair_slots(instance.n_nodes)
-    if include_self:
-        return np.ones(pi.shape[0])
-    return (pi != pj).astype(np.float64)
-
-
 def _segment_sum(values: np.ndarray, segments: np.ndarray, n: int) -> np.ndarray:
     """Rows of `values` summed into `n` segments, each row added in order."""
     if values.ndim == 1:
@@ -466,6 +475,52 @@ def _edge_mlp(vi: np.ndarray, vj: np.ndarray, params: ModelParams):
     act = nc.relu(pre)
     logit = nc.linear(params.value("edge_out_w"), act, params.value("edge_out_b"))[:, 0]
     return prod, pre, act, logit
+
+
+def _pair_mlp(ui: np.ndarray, uj: np.ndarray, params: ModelParams):
+    """(product, hidden pre-activation, hidden activation, interaction) of
+    the pair MLP over rows of value-scaled node-vector pairs."""
+    prod = nc.elementwise_product(ui, uj)
+    pre = nc.linear(params.value("pair_hidden_w"), prod, params.value("pair_hidden_b"))
+    act = nc.relu(pre)
+    out = nc.linear(params.value("pair_out_w"), act, params.value("pair_out_b"))
+    return prod, pre, act, out
+
+
+def _aggregate(
+    layout: PairLayout,
+    edge_values: np.ndarray,
+    interactions: np.ndarray,
+    params: ModelParams,
+    degree_override: np.ndarray | None,
+) -> dict:
+    """Gated aggregation and readout, as the `Forward` fields from
+    `node_sum` on: each node averages the gated interactions of its slots
+    (soft-degree denominator, floored at DEGREE_EPS, or `degree_override`),
+    is rescaled by its value and read out, and each instance's score is the
+    mean of its node readouts."""
+    n_nodes = layout.ids.shape[0]
+    # each slot enters its first end, off-diagonal slots also their second
+    targets, sources = layout.gather_targets, layout.gather_sources
+    gated = edge_values[:, None] * interactions
+    node_sum = _segment_sum(gated[sources], targets, n_nodes)
+    soft_degree = _segment_sum(edge_values[sources], targets, n_nodes)
+
+    if degree_override is not None:
+        denom = np.asarray(degree_override, dtype=np.float64)
+        if denom.shape != (n_nodes,):
+            raise nc.ShapeError(f"degree override shape {denom.shape}, expected ({n_nodes},)")
+    else:
+        denom = np.maximum(soft_degree, DEGREE_EPS)
+
+    node_update = node_sum / denom[:, None]
+    scaled = layout.values[:, None] * node_update
+    node_readout = nc.linear(params.value("readout")[None, :], scaled, np.zeros(1))[:, 0]
+    n_instances = layout.counts.shape[0]
+    scores = _segment_sum(node_readout, layout.node_instance, n_instances) / layout.counts
+    return dict(node_sum=node_sum, soft_degree=soft_degree, denom=denom,
+                degree_overridden=degree_override is not None, node_update=node_update,
+                node_readout=node_readout, scores=scores)
 
 
 @dataclass
@@ -540,11 +595,10 @@ def forward_batch(
     if binary_gates and pinned_edges is not None:
         raise ValueError("binary gates need predicted logits; got pinned edges")
     cfg = params.config
-    ids, x = layout.ids, layout.values
-    n_nodes, n_slots = ids.shape[0], layout.slot_i.shape[0]
+    ids, n_slots = layout.ids, layout.slot_i.shape[0]
     rows = distinct_rows(layout, edges=pinned_edges is None)
 
-    node_vecs = x[:, None] * params.value("node_embed")[ids]
+    node_vecs = layout.values[:, None] * params.value("node_embed")[ids]
 
     if pinned_edges is not None:
         pinned = np.asarray(pinned_edges, dtype=np.float64)
@@ -573,34 +627,10 @@ def forward_batch(
             gate = gates.deterministic_batch(log_alpha, cfg.gate)
         edge_values = gate.value
 
-    pair_prod = nc.elementwise_product(node_vecs[rows.pair_i], node_vecs[rows.pair_j])
-    pair_pre = nc.linear(params.value("pair_hidden_w"), pair_prod, params.value("pair_hidden_b"))
-    pair_act = nc.relu(pair_pre)
-    interactions = _to_slots(
-        nc.linear(params.value("pair_out_w"), pair_act, params.value("pair_out_b")),
-        rows.pair_row_of,
+    pair_prod, pair_pre, pair_act, pair_out = _pair_mlp(
+        node_vecs[rows.pair_i], node_vecs[rows.pair_j], params
     )
-
-    # each slot enters its first end, off-diagonal slots also their second
-    targets, sources = layout.gather_targets, layout.gather_sources
-    gated = edge_values[:, None] * interactions
-    node_sum = _segment_sum(gated[sources], targets, n_nodes)
-    soft_degree = _segment_sum(edge_values[sources], targets, n_nodes)
-
-    if degree_override is not None:
-        denom = np.asarray(degree_override, dtype=np.float64)
-        if denom.shape != (n_nodes,):
-            raise nc.ShapeError(f"degree override shape {denom.shape}, expected ({n_nodes},)")
-        overridden = True
-    else:
-        denom = np.maximum(soft_degree, DEGREE_EPS)
-        overridden = False
-
-    node_update = node_sum / denom[:, None]
-    scaled = x[:, None] * node_update
-    node_readout = nc.linear(params.value("readout")[None, :], scaled, np.zeros(1))[:, 0]
-    n_instances = layout.counts.shape[0]
-    scores = _segment_sum(node_readout, layout.node_instance, n_instances) / layout.counts
+    interactions = _to_slots(pair_out, rows.pair_row_of)
 
     return Forward(
         layout=layout,
@@ -618,13 +648,7 @@ def forward_batch(
         pair_pre=pair_pre,
         pair_act=pair_act,
         interactions=interactions,
-        node_sum=node_sum,
-        soft_degree=soft_degree,
-        denom=denom,
-        degree_overridden=overridden,
-        node_update=node_update,
-        node_readout=node_readout,
-        scores=scores,
+        **_aggregate(layout, edge_values, interactions, params, degree_override),
     )
 
 
@@ -881,50 +905,6 @@ def edge_logit(i, j, params: ModelParams):
     return float(logits[0]) if scalar else logits
 
 
-def interaction_vector(u_i: np.ndarray, u_j: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Pair MLP output for two value-scaled node vectors; symmetric."""
-    prod = nc.elementwise_product(nc.as_vector(u_i), nc.as_vector(u_j))
-    hidden = nc.relu(nc.linear(params.value("pair_hidden_w"), prod, params.value("pair_hidden_b")))
-    return nc.linear(params.value("pair_out_w"), hidden, params.value("pair_out_b"))
-
-
-def score_from_node_vectors(
-    node_vectors: np.ndarray,
-    values: np.ndarray,
-    edge_values: np.ndarray,
-    params: ModelParams,
-    interaction_fn: Callable[[np.ndarray, np.ndarray, "ModelParams"], np.ndarray] | None = None,
-) -> float:
-    """Raw score from explicit value-scaled node vectors and pinned gates.
-
-    The probe path: node vectors replace x_i * embed[id], gates are fixed,
-    and `interaction_fn` (default: the pair MLP) maps each vector pair to
-    its interaction vector.
-    """
-    fn = interaction_fn or interaction_vector
-    vecs = np.asarray(node_vectors, dtype=np.float64)
-    x = np.asarray(values, dtype=np.float64)
-    k = vecs.shape[0]
-    pi, pj = pair_slots(k)
-    e = np.asarray(edge_values, dtype=np.float64)
-    if e.shape != pi.shape:
-        raise nc.ShapeError(f"edge values shape {e.shape}, expected {pi.shape}")
-    d = params.config.interaction_dim
-    node_sum = np.zeros((k, d))
-    soft_degree = np.zeros(k)
-    for p in range(pi.shape[0]):
-        a, b = int(pi[p]), int(pj[p])
-        z = fn(vecs[a], vecs[b], params)
-        node_sum[a] += e[p] * z
-        soft_degree[a] += e[p]
-        if a != b:
-            node_sum[b] += e[p] * z
-            soft_degree[b] += e[p]
-    denom = np.maximum(soft_degree, DEGREE_EPS)
-    node_update = node_sum / denom[:, None]
-    return float((x[:, None] * node_update @ params.value("readout")).mean())
-
-
 def make_probe_grid(
     dim: int, n_points: int = 3, amplitude: float = 1.0, seed: int = 0
 ) -> list[np.ndarray]:
@@ -954,14 +934,18 @@ def additivity_probe(
     if si == sj:
         raise ValueError("probe pair must name two distinct node slots")
     base = forward(instance, params, pinned_edges=np.asarray(edge_values, dtype=np.float64))
-    vecs0 = base.node_vecs
-    x = instance.value_array
+    layout, vecs0 = base.layout, base.node_vecs
+    slots = list(zip(layout.slot_i.tolist(), layout.slot_j.tolist()))
 
     def f(a: np.ndarray, b: np.ndarray) -> float:
         vecs = vecs0.copy()
         vecs[si] = a
         vecs[sj] = b
-        return score_from_node_vectors(vecs, x, edge_values, params, interaction_fn)
+        if interaction_fn is None:
+            interactions = _pair_mlp(vecs[layout.slot_i], vecs[layout.slot_j], params)[3]
+        else:
+            interactions = np.array([interaction_fn(vecs[p], vecs[q], params) for p, q in slots])
+        return float(_aggregate(layout, base.edge_values, interactions, params, None)["scores"][0])
 
     ref_i, ref_j = vecs0[si], vecs0[sj]
     f_ref = f(ref_i, ref_j)
@@ -999,24 +983,51 @@ def save_checkpoint(path, params: ModelParams, seed: int, extra: dict | None = N
 
 
 def load_checkpoint(path) -> tuple[ModelParams, dict]:
+    """Parameters and header of a checkpoint. Any fault in the file (a bad
+    header, a block shape other than the one `ModelParams.init` gives for
+    the header's config, a short or overlong body, a non-finite value)
+    raises one ValueError whose message starts with the path."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unrecognized checkpoint format {header.get('format')!r}")
-        config = ModelConfig.from_json_dict(header["model"])
-        store = nc.ParamStore()
-        for entry in header["params"]:
-            shape = tuple(int(s) for s in entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            block = fh.read(count * 8)
-            if len(block) != count * 8:
-                raise ValueError(f"checkpoint truncated in parameter {entry['name']!r}")
-            value = np.frombuffer(block, dtype="<f8").reshape(shape)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"checkpoint parameter {entry['name']!r} holds non-finite values")
-            store.add(entry["name"], value)
-        if fh.read(1):
-            raise ValueError("checkpoint has trailing bytes after its last parameter")
+        try:
+            return _read_checkpoint(fh)
+        except KeyError as exc:
+            raise ValueError(f"{path}: checkpoint header has no {exc} entry") from None
+        except (ValueError, TypeError) as exc:  # JSON and UTF-8 errors are ValueErrors
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(fh) -> tuple[ModelParams, dict]:
+    header = json.loads(fh.readline())
+    found = header.get("format") if isinstance(header, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"unrecognized checkpoint format {found!r}")
+    config = ModelConfig.from_json_dict(header["model"])
+    expected = config.param_shapes()
+    names = [entry["name"] for entry in header["params"]]
+    if names != list(PARAM_ORDER):
+        raise ValueError(f"checkpoint parameters {names}, expected {list(PARAM_ORDER)}")
+    for entry in header["params"]:
+        shape = tuple(int(s) for s in entry["shape"])
+        if shape != expected[entry["name"]]:
+            raise ValueError(
+                f"checkpoint parameter {entry['name']!r} has shape {list(shape)}, "
+                f"but its model config gives {list(expected[entry['name']])}"
+            )
+    # the body is read whole, so a header cannot make the reader allocate
+    # more than the file holds
+    body = fh.read()
+    sizes = [int(np.prod(expected[name])) for name in PARAM_ORDER]
+    need = 8 * sum(sizes)
+    if len(body) < need:
+        raise ValueError(f"checkpoint truncated: {len(body)} parameter bytes of {need}")
+    if len(body) > need:
+        raise ValueError(f"checkpoint has {len(body) - need} trailing bytes after its last parameter")
+    flat = np.frombuffer(body, dtype="<f8")
+    store = nc.ParamStore()
+    for name, block in zip(PARAM_ORDER, np.split(flat, np.cumsum(sizes)[:-1])):
+        if not np.all(np.isfinite(block)):
+            raise ValueError(f"checkpoint parameter {name!r} holds non-finite values")
+        store.add(name, block.reshape(expected[name]))
     return ModelParams(config, store), header
 
 

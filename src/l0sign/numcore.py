@@ -5,10 +5,10 @@ module only needs a handful of forward primitives plus their
 vector-Jacobian rules; the model walks its own structure in reverse and
 calls the rule of each primitive directly. There is no tape.
 
-Conventions: a vector is a 1-d float64 array; `linear` and the activation
-primitives also accept a 2-d array whose rows are independent inputs (the
-model batches one row per node pair). An optional debug switch makes every
-primitive reject non-finite outputs.
+Conventions: `linear` maps the rows of a 2-d float64 array, each an
+independent input (the model batches one row per distinct MLP input); the
+elementwise primitives take arrays of any shape. An optional debug switch
+makes every primitive reject non-finite outputs.
 """
 
 from __future__ import annotations
@@ -79,26 +79,17 @@ def as_matrix(x) -> Matrix:
     return out
 
 
-def linear(weights: Matrix, x: np.ndarray, bias: Vector) -> np.ndarray:
-    """weights @ x + bias for a vector x, or row-wise for a 2-d x."""
+def linear(weights: Matrix, x: Matrix, bias: Vector) -> Matrix:
+    """weights @ row + bias for every row of x."""
     w = as_matrix(weights)
     b = as_vector(bias)
     if w.shape[0] != b.shape[0]:
         raise ShapeError(f"weights {w.shape} incompatible with bias {b.shape}")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if w.shape[1] != x.shape[0]:
-            raise ShapeError(f"weights {w.shape} incompatible with input {x.shape}")
-        out = w @ x + b
-        _count(w.size)
-    elif x.ndim == 2:
-        if w.shape[1] != x.shape[1]:
-            raise ShapeError(f"weights {w.shape} incompatible with input rows {x.shape}")
-        out = x @ w.T + b
-        _count(w.size * x.shape[0])
-    else:
-        raise ShapeError(f"linear input must be 1-d or 2-d, got shape {x.shape}")
-    return _checked("linear", out)
+    x = as_matrix(x)
+    if w.shape[1] != x.shape[1]:
+        raise ShapeError(f"weights {w.shape} incompatible with input rows {x.shape}")
+    _count(w.size * x.shape[0])
+    return _checked("linear", x @ w.T + b)
 
 
 def elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -130,22 +121,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # Backward rules. Each forward primitive has a rule taking the values it
 # needs from the forward pass plus the upstream gradient.
 
-def linear_backward(weights: Matrix, x: np.ndarray, upstream: np.ndarray):
+def linear_backward(weights: Matrix, x: Matrix, upstream: Matrix):
     """Gradients of `linear` w.r.t. (weights, x, bias)."""
     w = as_matrix(weights)
     x = np.asarray(x, dtype=np.float64)
     g = np.asarray(upstream, dtype=np.float64)
-    if x.ndim == 1:
-        if g.shape != (w.shape[0],):
-            raise ShapeError(f"upstream {g.shape} does not match output ({w.shape[0]},)")
-        _count(w.size * 2)
-        return np.outer(g, x), w.T @ g, g.copy()
-    if x.ndim == 2:
-        if g.shape != (x.shape[0], w.shape[0]):
-            raise ShapeError(f"upstream {g.shape} does not match output {(x.shape[0], w.shape[0])}")
-        _count(w.size * x.shape[0] * 2)
-        return g.T @ x, g @ w, g.sum(axis=0)
-    raise ShapeError(f"linear input must be 1-d or 2-d, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"linear input must be 2-d, got shape {x.shape}")
+    if g.shape != (x.shape[0], w.shape[0]):
+        raise ShapeError(f"upstream {g.shape} does not match output {(x.shape[0], w.shape[0])}")
+    _count(w.size * x.shape[0] * 2)
+    return g.T @ x, g @ w, g.sum(axis=0)
 
 
 def elementwise_product_backward(a: np.ndarray, b: np.ndarray, upstream: np.ndarray):
@@ -223,21 +209,11 @@ class ParamStore:
     def grads(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self._grads.items()}
 
-    def n_scalars(self) -> int:
-        return sum(v.size for v in self._values.values())
-
     def clone(self) -> "ParamStore":
         other = ParamStore()
         for name, v in self._values.items():
             other.add(name, v.copy())
         return other
-
-    def copy_values_from(self, other: "ParamStore") -> None:
-        for name in self._values:
-            src = other.value(name)
-            if src.shape != self._values[name].shape:
-                raise ShapeError(f"parameter {name!r}: {src.shape} vs {self._values[name].shape}")
-            self._values[name][...] = src
 
 
 def grad_check(

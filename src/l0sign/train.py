@@ -68,8 +68,11 @@ class RiskBreakdown:
     l2: float
 
 
-def _pinned(layout: model_mod.PairLayout, tcfg: TrainConfig) -> np.ndarray:
-    """Per-slot gate values of a pinned mode (all pairs for sign-complete)."""
+def _pinned(layout: model_mod.PairLayout, tcfg: TrainConfig) -> np.ndarray | None:
+    """Per-slot gate values of a pinned mode (all pairs for sign-complete);
+    None in l0sign mode, whose gates come from the edge MLP."""
+    if tcfg.mode == "l0sign":
+        return None
     if tcfg.mode == "sign-complete":
         return np.ones(layout.slot_i.shape[0])
     return model_mod.pinned_edges(layout, model_mod.edge_codes(tcfg.fixed_edges))
@@ -108,11 +111,8 @@ def risk(
     loss_sum = l0_sum = l2_sum = 0.0
     for _, layout in model_mod.chunk_layouts(instances):
         n_slots = layout.slot_i.shape[0]
-        if tcfg.mode == "l0sign":
-            u = None if all_noise is None else all_noise[first_slot : first_slot + n_slots]
-            trace = model_mod.forward_batch(layout, params, noise=u)
-        else:
-            trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
+        u = None if all_noise is None else all_noise[first_slot : first_slot + n_slots]
+        trace = model_mod.forward_batch(layout, params, noise=u, pinned_edges=_pinned(layout, tcfg))
 
         signed = np.fromiter(
             (inst.signed_label for inst in layout.instances), np.float64, layout.counts.shape[0]
@@ -226,8 +226,7 @@ def _validate(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> tuple[n
     scores = np.empty(len(valid))
     open_count = total = 0
     for start, layout in model_mod.chunk_layouts(valid.instances):
-        pinned = None if tcfg.mode == "l0sign" else _pinned(layout, tcfg)
-        trace = model_mod.forward_batch(layout, params, pinned_edges=pinned)
+        trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
         scores[start : start + trace.scores.shape[0]] = trace.scores
         open_count += int((trace.edge_values > tcfg.gate_threshold).sum())
         total += trace.edge_values.shape[0]
@@ -380,14 +379,11 @@ def near_gradient_kink(
     tolerance.
     """
     tol = margin * epsilon
+    layout = model_mod.PairLayout.of((instance,))
+    u = None
     if tcfg.mode == "l0sign":
-        u = NoiseStream(tcfg.seed).pair_uniforms(
-            epoch, sample_index, model_mod.pair_count(instance.n_nodes)
-        )
-        trace = model_mod.forward(instance, params, noise=u)
-    else:
-        layout = model_mod.PairLayout.of((instance,))
-        trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
+        u = NoiseStream(tcfg.seed).pair_uniforms(epoch, sample_index, layout.slot_i.shape[0])
+    trace = model_mod.forward_batch(layout, params, noise=u, pinned_edges=_pinned(layout, tcfg))
     checks = [np.min(np.abs(trace.pair_pre)) < tol]
     if trace.edge_pre is not None:
         checks.append(np.min(np.abs(trace.edge_pre)) < tol)

@@ -299,6 +299,78 @@ def test_checkpoint_with_smaller_vocabulary_is_one_error_line(tmp_path, capsys, 
     assert "feature id 9" in err and "5 features" in err
 
 
+def _drop_model(header: bytes) -> bytes:
+    payload = json.loads(header)
+    del payload["model"]
+    return json.dumps(payload).encode()
+
+
+def _embedding_shape(shape):
+    def edit(header: bytes) -> bytes:
+        payload = json.loads(header)
+        payload["params"][0]["shape"] = shape
+        return json.dumps(payload).encode()
+    return edit
+
+
+@pytest.mark.parametrize("edit, names", [
+    (_embedding_shape([4, 10]), "'node_embed' has shape [4, 10]"),
+    (_embedding_shape([40]), "'node_embed' has shape [40]"),
+    (_embedding_shape([-10, 4]), "'node_embed' has shape [-10, 4]"),
+    (lambda header: b"not a header", "Expecting value"),
+    (lambda header: b"\xff\xfe" + header, "decode"),
+    (_drop_model, "no 'model' entry"),
+], ids=["transposed", "flattened", "negative", "not-json", "not-utf8", "no-model"])
+def test_bad_checkpoint_header_is_one_error_line(synth_dir, tmp_path, capsys, edit, names):
+    params = ModelParams.random(
+        ModelConfig(vocab_size=10, edge_dim=4, interaction_dim=4, hidden_dim=8), seed=0
+    )
+    path = tmp_path / "bad.ckpt"
+    model.save_checkpoint(path, params, seed=0)
+    header, body = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(edit(header) + b"\n" + body)
+    for command in ("eval", "explain"):
+        argv = [command, "--data", str(synth_dir / "data.txt"), "--checkpoint", str(path)]
+        if command == "explain":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert names in err
+
+
+@pytest.mark.parametrize("content, names", [
+    (b'{"foo": 1}', 'an object with a "pairs" list'),
+    (b'[["a", 2]]', 'an object with a "pairs" list'),
+    (b'{"pairs": [[1]]}', "pairs[0] is [1],"),
+    (b'{"pairs": [[0, 1], ["a", 2]]}', 'pairs[1] is ["a", 2],'),
+    (b'{"pairs": [[0, -1]]}', "pairs[0] is [0, -1],"),
+    (b"0 1\n", "not JSON"),
+    (b'\xff{"pairs": []}', "not JSON"),
+], ids=["no-pairs", "top-level-list", "short-pair", "non-integer-id", "negative-id",
+        "not-json", "not-utf8"])
+def test_bad_edge_set_is_one_error_line(synth_dir, tmp_path, capsys, content, names):
+    path = tmp_path / "edges.json"
+    path.write_bytes(content)
+    rc = cli.main(["train", "--data", str(synth_dir / "data.txt"), "--out", str(tmp_path / "o"),
+                   "--mode", "sign-fixed", "--edges", str(path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: edge set {path}") and err.count("\n") == 1
+    assert names in err
+
+
+def test_unknown_config_key_is_one_error_line(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs=1\nepoch=1\nlambda_1=0.5\n")
+    rc = cli.main(["train", "--data", str(synth_dir / "data.txt"),
+                   "--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(cfg) in err and "line 2" in err and "'epoch'" in err
+
+
 def test_train_rejects_single_class_validation_split(tmp_path, capsys):
     lines = ["vocab_size=6"] + [f"1 {n % 5} 5" for n in range(40)]
     (tmp_path / "data.txt").write_text("\n".join(lines) + "\n")

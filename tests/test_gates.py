@@ -15,6 +15,11 @@ def logistic(x):
 CFG = GateConfig()
 
 
+def draw(log_alpha, u, config=CFG):
+    """One gate drawn through a one-element `sample_array` call."""
+    return gates.sample_array(np.array([log_alpha]), np.array([u]), config)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GateConfig(temperature=0.0)
@@ -32,34 +37,34 @@ def test_l0_shift_closed_form():
 def test_sample_midpoint_noise_hand_value():
     # u=0.5 makes the logistic noise vanish; at log_alpha=0 the sigmoid is
     # 0.5, stretched to 0.5*1.2 - 0.1 = 0.5
-    drawn = gates.sample(0.0, 0.5, CFG)
-    assert abs(drawn.value - 0.5) < 1e-12
-    assert abs(drawn.pre_clamp - 0.5) < 1e-12
-    assert drawn.noise == 0.5
+    drawn = draw(0.0, 0.5)
+    assert abs(drawn.value[0] - 0.5) < 1e-12
+    assert abs(drawn.pre_clamp[0] - 0.5) < 1e-12
+    assert drawn.noise[0] == 0.5
 
 
 def test_sample_gradient_hand_value():
     # interior point: d value / d log_alpha = span * s(1-s) / temperature
-    drawn = gates.sample(0.0, 0.5, CFG)
+    drawn = draw(0.0, 0.5)
     expected = 1.2 * 0.25 / (2.0 / 3.0)
-    assert abs(gates.grad_log_alpha(drawn, CFG) - expected) < 1e-12
+    assert abs(gates.grad_log_alpha(drawn, CFG)[0] - expected) < 1e-12
     assert abs(expected - 0.45) < 1e-12
 
 
 def test_sample_clamps_and_kills_gradient():
-    high = gates.sample(50.0, 0.9, CFG)
-    assert high.value == 1.0 and high.pre_clamp > 1.0
-    assert gates.grad_log_alpha(high, CFG) == 0.0
-    low = gates.sample(-50.0, 0.1, CFG)
-    assert low.value == 0.0 and low.pre_clamp < 0.0
-    assert gates.grad_log_alpha(low, CFG) == 0.0
+    high = draw(50.0, 0.9)
+    assert high.value[0] == 1.0 and high.pre_clamp[0] > 1.0
+    assert gates.grad_log_alpha(high, CFG)[0] == 0.0
+    low = draw(-50.0, 0.1)
+    assert low.value[0] == 0.0 and low.pre_clamp[0] < 0.0
+    assert gates.grad_log_alpha(low, CFG)[0] == 0.0
 
 
 def test_sample_rejects_boundary_noise():
     with pytest.raises(ValueError):
-        gates.sample(0.0, 0.0, CFG)
+        draw(0.0, 0.0)
     with pytest.raises(ValueError):
-        gates.sample(0.0, 1.0, CFG)
+        draw(0.0, 1.0)
 
 
 def test_sample_array_shape_mismatch():
@@ -82,11 +87,9 @@ def test_eval_deterministic_equals_midpoint_noise_only_at_temperature_one():
     # sigmoids location/temperature, so they agree iff temperature == 1
     cfg1 = GateConfig(temperature=1.0)
     for la in (-1.2, -0.3, 0.0, 0.4, 2.0):
-        drawn = gates.sample(la, 0.5, cfg1)
-        assert abs(drawn.value - gates.eval_deterministic(la, cfg1)) < 1e-12
-    assert (
-        abs(gates.sample(1.0, 0.5, CFG).value - gates.eval_deterministic(1.0, CFG)) > 1e-3
-    )
+        drawn = draw(la, 0.5, cfg1)
+        assert abs(drawn.value[0] - gates.eval_deterministic(la, cfg1)) < 1e-12
+    assert abs(draw(1.0, 0.5).value[0] - gates.eval_deterministic(1.0, CFG)) > 1e-3
 
 
 def test_open_probability_reference_value():
@@ -119,12 +122,12 @@ def test_monte_carlo_open_probability():
 def test_stochastic_gradient_matches_finite_difference():
     h = 1e-7
     for la, u in [(-1.0, 0.3), (0.0, 0.7), (1.5, 0.45), (0.2, 0.9)]:
-        drawn = gates.sample(la, u, CFG)
-        plus = gates.sample(la + h, u, CFG).value
-        minus = gates.sample(la - h, u, CFG).value
+        drawn = draw(la, u)
+        plus = draw(la + h, u).value[0]
+        minus = draw(la - h, u).value[0]
         numeric = (plus - minus) / (2 * h)
-        if 0.0 < drawn.pre_clamp < 1.0:
-            assert abs(gates.grad_log_alpha(drawn, CFG) - numeric) < 1e-6
+        if 0.0 < drawn.pre_clamp[0] < 1.0:
+            assert abs(gates.grad_log_alpha(drawn, CFG)[0] - numeric) < 1e-6
 
 
 def test_deterministic_gradient_matches_finite_difference():
@@ -140,8 +143,8 @@ def test_deterministic_gradient_matches_finite_difference():
 def test_edge_exists_boundary():
     # deterministic gate > 0 iff sigmoid(la) * 1.2 > 0.1, i.e. la > -ln 11
     boundary = -math.log(11.0)
-    assert gates.edge_exists(boundary + 1e-6, CFG)
-    assert not gates.edge_exists(boundary - 1e-6, CFG)
+    assert gates.eval_deterministic(boundary + 1e-6, CFG) > 0.0
+    assert not gates.eval_deterministic(boundary - 1e-6, CFG) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def test_noise_stream_rejects_bad_arguments():
     st.floats(min_value=1e-6, max_value=1 - 1e-6),
 )
 def test_sample_always_in_unit_interval(la, u):
-    assert 0.0 <= gates.sample(la, u, CFG).value <= 1.0
+    assert 0.0 <= draw(la, u).value[0] <= 1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,7 +202,7 @@ def test_sample_always_in_unit_interval(la, u):
 )
 def test_sample_monotone_in_log_alpha(la1, la2, u):
     lo, hi = min(la1, la2), max(la1, la2)
-    assert gates.sample(lo, u, CFG).value <= gates.sample(hi, u, CFG).value
+    assert draw(lo, u).value[0] <= draw(hi, u).value[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -215,7 +218,7 @@ def test_binary_batch_is_the_thresholded_deterministic_gate():
     binary = gates.binary_batch(la, CFG)
     det = gates.deterministic_batch(la, CFG)
     np.testing.assert_array_equal(binary.value, (det.value > 0.0).astype(float))
-    np.testing.assert_array_equal(binary.value.astype(bool), gates.edge_exists(la, CFG))
+    np.testing.assert_array_equal(binary.value.astype(bool), gates.eval_deterministic(la, CFG) > 0.0)
     np.testing.assert_array_equal(binary.pre_clamp, det.pre_clamp)
     assert set(np.unique(binary.value)) <= {0.0, 1.0}
     assert binary.value[0] == 0.0 and binary.value[3] == 1.0

@@ -78,12 +78,11 @@ def test_edges_for_instance_membership():
     assert got.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
 
-def test_complete_edges_self_toggle():
+def test_layout_offdiag_excludes_self_pairs():
     inst = data.make_instance([0, 3, 4], [1.0, 1.0, 1.0], 0)
-    assert model.complete_edges(inst).tolist() == [1.0] * 6
-    assert model.complete_edges(inst, include_self=False).tolist() == [
-        0.0, 1.0, 1.0, 0.0, 1.0, 0.0,
-    ]
+    layout = model.PairLayout.of((inst,))
+    assert layout.slot_i.shape == (model.pair_count(3),)
+    assert layout.offdiag.astype(float).tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +122,24 @@ def test_edge_logit_rejects_out_of_vocab():
         model.edge_logit(0, SMALL.vocab_size, params)
 
 
-def test_interaction_vector_symmetric_and_matches_reference():
+def reference_interaction(u_i, u_j, params):
+    """The pair MLP on one pair of vectors."""
+    hidden = np.maximum(
+        params.value("pair_hidden_w") @ (u_i * u_j) + params.value("pair_hidden_b"), 0.0
+    )
+    return params.value("pair_out_w") @ hidden + params.value("pair_out_b")
+
+
+def test_pair_mlp_symmetric_and_matches_reference():
     params = ModelParams.random(SMALL, seed=2)
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(SMALL.interaction_dim)
-    b = rng.standard_normal(SMALL.interaction_dim)
-    z = model.interaction_vector(a, b, params)
-    np.testing.assert_array_equal(z, model.interaction_vector(b, a, params))
-    hidden = np.maximum(
-        params.value("pair_hidden_w") @ (a * b) + params.value("pair_hidden_b"), 0.0
-    )
-    want = params.value("pair_out_w") @ hidden + params.value("pair_out_b")
-    np.testing.assert_allclose(z, want, atol=1e-14)
+    a = rng.standard_normal((5, SMALL.interaction_dim))
+    b = rng.standard_normal((5, SMALL.interaction_dim))
+    z = model._pair_mlp(a, b, params)[3]
+    np.testing.assert_array_equal(z, model._pair_mlp(b, a, params)[3])
+    for row in range(5):
+        np.testing.assert_allclose(z[row], reference_interaction(a[row], b[row], params),
+                                   atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +256,7 @@ def test_predict_fixed_accepts_pair_sets():
     by_array = model.predict_fixed(inst, params, np.array([0, 1, 0, 0, 0, 1.0]))
     by_set = model.predict_fixed(inst, params, {(5, 2), (9, 9)})
     assert by_array.score == by_set.score
-    complete = model.predict_fixed(inst, params, model.complete_edges(inst))
+    complete = model.predict_fixed(inst, params, np.ones(model.pair_count(inst.n_nodes)))
     all_pairs = {(i, j) for i in (2, 5, 9) for j in (2, 5, 9) if i <= j}
     assert complete.score == model.predict_fixed(inst, params, all_pairs).score
 
@@ -405,6 +410,66 @@ def test_additivity_probe_linear_interaction_is_additive():
         inst, params, edges, (0, 1), probes, probes, interaction_fn=separable
     )
     assert worst <= 1e-9
+
+
+def reference_probe_score(vecs, x, edge_values, params, interaction_fn):
+    """Score from explicit value-scaled node vectors and pinned gates, one
+    slot at a time: the probe's scoring as it was before it ran on the
+    engine's aggregation stage."""
+    k = vecs.shape[0]
+    pi, pj = model.pair_slots(k)
+    node_sum = np.zeros((k, params.config.interaction_dim))
+    soft_degree = np.zeros(k)
+    for p in range(pi.shape[0]):
+        a, b = int(pi[p]), int(pj[p])
+        z = interaction_fn(vecs[a], vecs[b], params)
+        node_sum[a] += edge_values[p] * z
+        soft_degree[a] += edge_values[p]
+        if a != b:
+            node_sum[b] += edge_values[p] * z
+            soft_degree[b] += edge_values[p]
+    node_update = node_sum / np.maximum(soft_degree, model.DEGREE_EPS)[:, None]
+    return float((x[:, None] * node_update @ params.value("readout")).mean())
+
+
+def reference_probe(inst, params, edge_values, pair, probes_i, probes_j, interaction_fn):
+    si, sj = pair
+    vecs0 = inst.value_array[:, None] * params.value("node_embed")[inst.node_array]
+
+    def f(a, b):
+        vecs = vecs0.copy()
+        vecs[si], vecs[sj] = a, b
+        return reference_probe_score(vecs, inst.value_array, edge_values, params, interaction_fn)
+
+    ref_i, ref_j = vecs0[si], vecs0[sj]
+    return max(abs(f(a, b) - f(a, ref_j) - f(ref_i, b) + f(ref_i, ref_j))
+               for a in probes_i for b in probes_j)
+
+
+@pytest.mark.parametrize("separable", [False, True], ids=["pair-mlp", "interaction-fn"])
+def test_additivity_probe_matches_the_slot_loop(separable):
+    def fn(a, b, _params):
+        return a + 2.0 * b
+
+    for seed in range(20):
+        rng = np.random.default_rng(500 + seed)
+        params = ModelParams.random(SMALL, seed=seed)
+        k = int(rng.integers(2, 7))
+        inst = random_instance(rng, SMALL.vocab_size, k)
+        n_slots = model.pair_count(k)
+        edges = rng.uniform(0.0, 1.0, size=n_slots) * (rng.random(n_slots) < 0.7)
+        si, sj = sorted(rng.choice(k, size=2, replace=False).tolist())
+        probes = model.make_probe_grid(SMALL.interaction_dim, n_points=3, seed=seed)
+        got = model.additivity_probe(inst, params, edges, (si, sj), probes, probes,
+                                     interaction_fn=fn if separable else None)
+        want = reference_probe(inst, params, edges, (si, sj), probes, probes,
+                               fn if separable else reference_interaction)
+        assert abs(got - want) <= 1e-12
+        if not separable:  # the unperturbed score, through the whole engine
+            vecs = inst.value_array[:, None] * params.value("node_embed")[inst.node_array]
+            want = reference_probe_score(vecs, inst.value_array, edges, params,
+                                         reference_interaction)
+            assert abs(model.forward(inst, params, pinned_edges=edges).score - want) <= 1e-12
 
 
 def test_additivity_probe_rejects_self_slot():
