@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import fields
@@ -82,29 +83,31 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 class Settings:
-    """Flag > config file > default, coerced to the default's type."""
+    """Flag > config file > default, coerced to the default's type. A float
+    setting must be finite, wherever it comes from."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
         self.file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
 
     def get(self, key: str):
-        flag = getattr(self.args, key, None)
-        if flag is not None:
-            return flag
         default = DEFAULTS[key]
-        if key in self.file_cfg:
-            raw = self.file_cfg[key]
+        value, where = getattr(self.args, key, None), ""
+        if value is None:
+            if key not in self.file_cfg:
+                return default
+            raw, where = self.file_cfg[key], f"config file {self.args.config}: "
             if isinstance(default, str):
                 return raw
             try:
-                return type(default)(raw)
+                value = type(default)(raw)
             except ValueError:
                 raise ValueError(
-                    f"config file {self.args.config}: {key}={raw!r} is not "
-                    f"a valid {type(default).__name__}"
+                    f"{where}{key}={raw!r} is not a valid {type(default).__name__}"
                 ) from None
-        return default
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{where}{key} must be a finite number, got {value}")
+        return value
 
 
 def _parse_floats(text: str, expect: int | None = None, name: str = "list") -> tuple[float, ...]:
@@ -309,10 +312,13 @@ def cmd_ablate(args) -> int:
 
 def cmd_explain(args) -> int:
     settings = Settings(args)
+    count = settings.get("count")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     out = _out_dir(args)
     params, _ = model_mod.load_checkpoint(args.checkpoint)
     part = _pick_split(settings, params)
-    count = min(settings.get("count"), len(part))
+    count = min(count, len(part))
     explanations = [
         evaluate.explain(part.instances[n], params, instance_id=n) for n in range(count)
     ]
@@ -336,6 +342,8 @@ def cmd_gradcheck(args) -> int:
     settings = Settings(args)
     seed = settings.get("seed")
     n_instances = settings.get("instances")
+    if n_instances < 1:
+        raise ValueError(f"instances must be at least 1, got {n_instances}")
     epsilon = settings.get("epsilon")
     tol = settings.get("tol")
     tcfg = TrainConfig(
@@ -452,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda2", type=float)
     p.add_argument("--ablate-epochs", dest="ablate_epochs", type=int,
                    help="override epochs for the ablation retrains only")
-    p.set_defaults(fn=cmd_ablate, lambda1=None, mode=None, embedding_update=None)
+    p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("explain", help="export per-instance interaction explanations")
     common(p, data=True, out=True)

@@ -467,24 +467,43 @@ def _to_rows(slot_values: np.ndarray, row_of: np.ndarray, n_rows: int) -> np.nda
     return _segment_sum(slot_values, row_of, n_rows)
 
 
-def _edge_mlp(vi: np.ndarray, vj: np.ndarray, params: ModelParams):
-    """(product, hidden pre-activation, hidden activation, logit) of the
-    edge MLP over rows of edge-embedding pairs."""
+def _mlp(side: str, vi: np.ndarray, vj: np.ndarray, params: ModelParams):
+    """(product, hidden pre-activation, hidden activation, output) of the
+    two-layer MLP over the elementwise product of rows of embedding pairs.
+    `side` names its parameters: "edge" (edge embeddings to one gate
+    location per row) or "pair" (value-scaled node embeddings to an
+    interaction vector per row)."""
     prod = nc.elementwise_product(vi, vj)
-    pre = nc.linear(params.value("edge_hidden_w"), prod, params.value("edge_hidden_b"))
+    pre = nc.linear(params.value(f"{side}_hidden_w"), prod, params.value(f"{side}_hidden_b"))
     act = nc.relu(pre)
-    logit = nc.linear(params.value("edge_out_w"), act, params.value("edge_out_b"))[:, 0]
-    return prod, pre, act, logit
-
-
-def _pair_mlp(ui: np.ndarray, uj: np.ndarray, params: ModelParams):
-    """(product, hidden pre-activation, hidden activation, interaction) of
-    the pair MLP over rows of value-scaled node-vector pairs."""
-    prod = nc.elementwise_product(ui, uj)
-    pre = nc.linear(params.value("pair_hidden_w"), prod, params.value("pair_hidden_b"))
-    act = nc.relu(pre)
-    out = nc.linear(params.value("pair_out_w"), act, params.value("pair_out_b"))
+    out = nc.linear(params.value(f"{side}_out_w"), act, params.value(f"{side}_out_b"))
     return prod, pre, act, out
+
+
+def _mlp_backward(
+    side: str,
+    prod: np.ndarray,
+    pre: np.ndarray,
+    act: np.ndarray,
+    g_out: np.ndarray,
+    vecs: np.ndarray,
+    ri: np.ndarray,
+    rj: np.ndarray,
+    params: ModelParams,
+) -> np.ndarray:
+    """Reverse of `_mlp` over rows whose inputs were vecs[ri] and vecs[rj]:
+    accumulates the `side` parameter gradients from `g_out` (one row per
+    MLP row) and returns the gradient at each row of `vecs`."""
+    store = params.store
+    g_w, g_act, g_b = nc.linear_backward(params.value(f"{side}_out_w"), act, g_out)
+    store.accumulate(f"{side}_out_w", g_w)
+    store.accumulate(f"{side}_out_b", g_b)
+    g_pre = nc.relu_backward(pre, g_act)
+    g_w, g_prod, g_b = nc.linear_backward(params.value(f"{side}_hidden_w"), prod, g_pre)
+    store.accumulate(f"{side}_hidden_w", g_w)
+    store.accumulate(f"{side}_hidden_b", g_b)
+    g_vi, g_vj = nc.elementwise_product_backward(vecs[ri], vecs[rj], g_prod)
+    return _segment_sum(np.concatenate((g_vi, g_vj)), np.concatenate((ri, rj)), vecs.shape[0])
 
 
 def _aggregate(
@@ -492,35 +511,26 @@ def _aggregate(
     edge_values: np.ndarray,
     interactions: np.ndarray,
     params: ModelParams,
-    degree_override: np.ndarray | None,
 ) -> dict:
     """Gated aggregation and readout, as the `Forward` fields from
     `node_sum` on: each node averages the gated interactions of its slots
-    (soft-degree denominator, floored at DEGREE_EPS, or `degree_override`),
-    is rescaled by its value and read out, and each instance's score is the
-    mean of its node readouts."""
+    (soft-degree denominator, floored at DEGREE_EPS), is rescaled by its
+    value and read out, and each instance's score is the mean of its node
+    readouts."""
     n_nodes = layout.ids.shape[0]
     # each slot enters its first end, off-diagonal slots also their second
     targets, sources = layout.gather_targets, layout.gather_sources
     gated = edge_values[:, None] * interactions
     node_sum = _segment_sum(gated[sources], targets, n_nodes)
     soft_degree = _segment_sum(edge_values[sources], targets, n_nodes)
-
-    if degree_override is not None:
-        denom = np.asarray(degree_override, dtype=np.float64)
-        if denom.shape != (n_nodes,):
-            raise nc.ShapeError(f"degree override shape {denom.shape}, expected ({n_nodes},)")
-    else:
-        denom = np.maximum(soft_degree, DEGREE_EPS)
-
+    denom = np.maximum(soft_degree, DEGREE_EPS)
     node_update = node_sum / denom[:, None]
     scaled = layout.values[:, None] * node_update
     node_readout = nc.linear(params.value("readout")[None, :], scaled, np.zeros(1))[:, 0]
     n_instances = layout.counts.shape[0]
     scores = _segment_sum(node_readout, layout.node_instance, n_instances) / layout.counts
     return dict(node_sum=node_sum, soft_degree=soft_degree, denom=denom,
-                degree_overridden=degree_override is not None, node_update=node_update,
-                node_readout=node_readout, scores=scores)
+                node_update=node_update, node_readout=node_readout, scores=scores)
 
 
 @dataclass
@@ -548,8 +558,7 @@ class Forward:
     interactions: np.ndarray  # (S, d) pair MLP outputs
     node_sum: np.ndarray  # (N, d) gated sums
     soft_degree: np.ndarray  # (N,)
-    denom: np.ndarray  # (N,) max(soft_degree, DEGREE_EPS) or the override
-    degree_overridden: bool
+    denom: np.ndarray  # (N,) max(soft_degree, DEGREE_EPS)
     node_update: np.ndarray  # (N, d) v'_i
     node_readout: np.ndarray  # (N,)
     scores: np.ndarray  # (B,)
@@ -577,7 +586,6 @@ def forward_batch(
     *,
     noise: np.ndarray | None = None,
     pinned_edges: np.ndarray | None = None,
-    degree_override: np.ndarray | None = None,
     binary_gates: bool = False,
 ) -> Forward:
     """Run the fixed computation shape over every pair slot of a layout,
@@ -588,7 +596,6 @@ def forward_batch(
     stochastic when `noise` (per-slot uniforms) is given, deterministic
     when not. `binary_gates` thresholds the deterministic gate to exact 0/1
     values, an evaluation-only variant with no gradient path.
-    `degree_override` (per node) replaces the aggregation denominators.
     """
     if binary_gates and noise is not None:
         raise ValueError("binary gates are an evaluation option; drop the noise argument")
@@ -610,10 +617,10 @@ def forward_batch(
         edge_values = pinned
     else:
         edge_vecs = params.value("edge_embed")[ids]
-        edge_prod, edge_pre, edge_act, logits = _edge_mlp(
-            edge_vecs[rows.edge_i], edge_vecs[rows.edge_j], params
+        edge_prod, edge_pre, edge_act, logits = _mlp(
+            "edge", edge_vecs[rows.edge_i], edge_vecs[rows.edge_j], params
         )
-        log_alpha = _to_slots(logits, rows.edge_row_of)
+        log_alpha = _to_slots(logits[:, 0], rows.edge_row_of)
         if noise is not None:
             if np.shape(noise) != (n_slots,):
                 raise nc.ShapeError(f"noise shape {np.shape(noise)}, expected ({n_slots},)")
@@ -627,8 +634,8 @@ def forward_batch(
             gate = gates.deterministic_batch(log_alpha, cfg.gate)
         edge_values = gate.value
 
-    pair_prod, pair_pre, pair_act, pair_out = _pair_mlp(
-        node_vecs[rows.pair_i], node_vecs[rows.pair_j], params
+    pair_prod, pair_pre, pair_act, pair_out = _mlp(
+        "pair", node_vecs[rows.pair_i], node_vecs[rows.pair_j], params
     )
     interactions = _to_slots(pair_out, rows.pair_row_of)
 
@@ -648,7 +655,7 @@ def forward_batch(
         pair_pre=pair_pre,
         pair_act=pair_act,
         interactions=interactions,
-        **_aggregate(layout, edge_values, interactions, params, degree_override),
+        **_aggregate(layout, edge_values, interactions, params),
     )
 
 
@@ -658,14 +665,13 @@ def forward(
     *,
     noise: np.ndarray | None = None,
     pinned_edges: np.ndarray | None = None,
-    degree_override: np.ndarray | None = None,
     binary_gates: bool = False,
 ) -> Forward:
     """`forward_batch` over one instance: the arrays hold one value per pair
     slot (`pair_slots` order) or per node of this instance."""
     return forward_batch(
         PairLayout.of((instance,)), params, noise=noise, pinned_edges=pinned_edges,
-        degree_override=degree_override, binary_gates=binary_gates,
+        binary_gates=binary_gates,
     )
 
 
@@ -693,7 +699,6 @@ def backward(
     ids, x = lay.ids, lay.values
     gi, gj, off = lay.slot_i, lay.slot_j, lay.offdiag
     rows = trace.rows
-    n_nodes = ids.shape[0]
 
     # score = mean of its node readouts; readout row r_i = readout . (x_i v'_i)
     g_node_readout = (np.asarray(d_score, dtype=np.float64) / lay.counts)[lay.node_instance]
@@ -706,11 +711,8 @@ def backward(
 
     # node_update = node_sum / denom
     g_node_sum = g_node_update / trace.denom[:, None]
-    if trace.degree_overridden:
-        g_soft_degree = np.zeros(n_nodes)
-    else:
-        g_denom = -(g_node_update * trace.node_sum).sum(axis=1) / trace.denom**2
-        g_soft_degree = np.where(trace.soft_degree > DEGREE_EPS, g_denom, 0.0)
+    g_denom = -(g_node_update * trace.node_sum).sum(axis=1) / trace.denom**2
+    g_soft_degree = np.where(trace.soft_degree > DEGREE_EPS, g_denom, 0.0)
 
     # node_sum gathers gated interactions into both endpoint nodes
     g_gated = g_node_sum[gi] + np.where(off[:, None], g_node_sum[gj], 0.0)
@@ -720,25 +722,12 @@ def backward(
     if d_interactions is not None:
         g_interactions = g_interactions + d_interactions
 
-    # pair MLP, over the distinct pair rows
-    g_w, g_pair_act, g_b = nc.linear_backward(
-        params.value("pair_out_w"),
-        trace.pair_act,
+    # pair MLP, over the distinct pair rows; u_i = x_i node_embed[id_i]
+    g_node_vecs = _mlp_backward(
+        "pair", trace.pair_prod, trace.pair_pre, trace.pair_act,
         _to_rows(g_interactions, rows.pair_row_of, trace.pair_act.shape[0]),
+        trace.node_vecs, rows.pair_i, rows.pair_j, params,
     )
-    store.accumulate("pair_out_w", g_w)
-    store.accumulate("pair_out_b", g_b)
-    g_pair_pre = nc.relu_backward(trace.pair_pre, g_pair_act)
-    g_w, g_pair_prod, g_b = nc.linear_backward(
-        params.value("pair_hidden_w"), trace.pair_prod, g_pair_pre
-    )
-    store.accumulate("pair_hidden_w", g_w)
-    store.accumulate("pair_hidden_b", g_b)
-    pi, pj = rows.pair_i, rows.pair_j
-    g_ui, g_uj = nc.elementwise_product_backward(
-        trace.node_vecs[pi], trace.node_vecs[pj], g_pair_prod
-    )
-    g_node_vecs = _segment_sum(np.concatenate((g_ui, g_uj)), np.concatenate((pi, pj)), n_nodes)
     np.add.at(store.grad("node_embed"), ids, x[:, None] * g_node_vecs)
 
     # edge side (absent for pinned gates)
@@ -753,24 +742,11 @@ def backward(
         g_log_alpha = g_log_alpha + d_log_alpha
 
     g_logits = _to_rows(g_log_alpha, rows.edge_row_of, trace.edge_act.shape[0])
-    g_w, g_edge_act, g_b = nc.linear_backward(
-        params.value("edge_out_w"), trace.edge_act, g_logits[:, None]
+    g_edge_vecs = _mlp_backward(
+        "edge", trace.edge_prod, trace.edge_pre, trace.edge_act, g_logits[:, None],
+        trace.edge_vecs, rows.edge_i, rows.edge_j, params,
     )
-    store.accumulate("edge_out_w", g_w)
-    store.accumulate("edge_out_b", g_b)
-    g_edge_pre = nc.relu_backward(trace.edge_pre, g_edge_act)
-    g_w, g_edge_prod, g_b = nc.linear_backward(
-        params.value("edge_hidden_w"), trace.edge_prod, g_edge_pre
-    )
-    store.accumulate("edge_hidden_w", g_w)
-    store.accumulate("edge_hidden_b", g_b)
-    ei, ej = rows.edge_i, rows.edge_j
-    g_vei, g_vej = nc.elementwise_product_backward(
-        trace.edge_vecs[ei], trace.edge_vecs[ej], g_edge_prod
-    )
-    g_edge_vecs = _segment_sum(np.concatenate((g_vei, g_vej)), np.concatenate((ei, ej)), n_nodes)
     np.add.at(store.grad("edge_embed"), ids, g_edge_vecs)
-
 
 def score_many(
     instances: Sequence[Instance],
@@ -901,7 +877,7 @@ def edge_logit(i, j, params: ModelParams):
         n = outside[0]
         raise ValueError(f"pair ({ii[n]}, {jj[n]}) outside vocabulary of {vocab}")
     table = params.value("edge_embed")
-    logits = _edge_mlp(table[ii], table[jj], params)[3]
+    logits = _mlp("edge", table[ii], table[jj], params)[3][:, 0]
     return float(logits[0]) if scalar else logits
 
 
@@ -942,10 +918,10 @@ def additivity_probe(
         vecs[si] = a
         vecs[sj] = b
         if interaction_fn is None:
-            interactions = _pair_mlp(vecs[layout.slot_i], vecs[layout.slot_j], params)[3]
+            interactions = _mlp("pair", vecs[layout.slot_i], vecs[layout.slot_j], params)[3]
         else:
             interactions = np.array([interaction_fn(vecs[p], vecs[q], params) for p, q in slots])
-        return float(_aggregate(layout, base.edge_values, interactions, params, None)["scores"][0])
+        return float(_aggregate(layout, base.edge_values, interactions, params)["scores"][0])
 
     ref_i, ref_j = vecs0[si], vecs0[sj]
     f_ref = f(ref_i, ref_j)

@@ -7,8 +7,7 @@ calls the rule of each primitive directly. There is no tape.
 
 Conventions: `linear` maps the rows of a 2-d float64 array, each an
 independent input (the model batches one row per distinct MLP input); the
-elementwise primitives take arrays of any shape. An optional debug switch
-makes every primitive reject non-finite outputs.
+elementwise primitives take arrays of any shape.
 """
 
 from __future__ import annotations
@@ -25,22 +24,7 @@ class ShapeError(ValueError):
     """Operand shapes are incompatible with the requested primitive."""
 
 
-class NonFiniteError(FloatingPointError):
-    """Debug-mode check found NaN or Inf in a primitive's output."""
-
-
-_debug_checks = False
 _op_units = 0
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf output check on every primitive."""
-    global _debug_checks
-    _debug_checks = bool(enabled)
-
-
-def debug_checks_enabled() -> bool:
-    return _debug_checks
 
 
 def reset_op_units() -> None:
@@ -57,12 +41,6 @@ def op_units() -> int:
 def _count(units: int) -> None:
     global _op_units
     _op_units += int(units)
-
-
-def _checked(op: str, out: np.ndarray) -> np.ndarray:
-    if _debug_checks and not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"{op} produced a non-finite value")
-    return out
 
 
 def as_vector(x) -> Vector:
@@ -89,7 +67,7 @@ def linear(weights: Matrix, x: Matrix, bias: Vector) -> Matrix:
     if w.shape[1] != x.shape[1]:
         raise ShapeError(f"weights {w.shape} incompatible with input rows {x.shape}")
     _count(w.size * x.shape[0])
-    return _checked("linear", x @ w.T + b)
+    return x @ w.T + b
 
 
 def elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -98,13 +76,13 @@ def elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"elementwise_product operands differ: {a.shape} vs {b.shape}")
     _count(a.size)
-    return _checked("elementwise_product", a * b)
+    return a * b
 
 
 def relu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     _count(x.size)
-    return _checked("relu", np.maximum(x, 0.0))
+    return np.maximum(x, 0.0)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -114,7 +92,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(np.where(pos, -x, x))
     out = np.where(pos, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     _count(x.size)
-    return _checked("sigmoid", out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ from .model import ModelConfig, ModelParams
 
 MODES = ("l0sign", "sign-complete", "sign-fixed")
 
+# Epoch selection ranks steady epochs first (see `_steady`).
+STEADY_WINDOW = 3
+STEADY_TOLERANCE = 0.01
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -37,19 +41,20 @@ class TrainConfig:
     fixed_edges: frozenset[tuple[int, int]] | None = None
     embedding_update: str = "gradient"  # or "algorithm-literal"
     seed: int = 0
-    steady_window: int = 3
-    steady_tolerance: float = 0.01
     gate_threshold: float = 0.5  # open-gate counting threshold for the log
 
     def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        # written so that NaN fails every check
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("batch_size and epochs must be at least 1")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("penalty weights must be non-negative")
-        if self.initial_accumulator < 0:
-            raise ValueError("initial_accumulator must be non-negative")
+        for name in ("lambda1", "lambda2", "initial_accumulator"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        if not math.isfinite(self.gate_threshold):
+            raise ValueError(f"gate_threshold must be finite, got {self.gate_threshold}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "sign-fixed" and self.fixed_edges is None:
@@ -233,13 +238,14 @@ def _validate(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> tuple[n
     return scores, open_count / total
 
 
-def _steady(records: list[EpochRecord], window: int, tol: float) -> bool:
+def _steady(records: list[EpochRecord]) -> bool:
     """The newest epoch qualifies when its open-gate fraction sits within
-    `tol` of each of the previous `window` epochs."""
-    if len(records) < window + 1:
+    STEADY_TOLERANCE of each of the previous STEADY_WINDOW epochs."""
+    if len(records) < STEADY_WINDOW + 1:
         return False
     anchor = records[-1].open_gate_fraction
-    return all(abs(anchor - r.open_gate_fraction) < tol for r in records[-window - 1 : -1])
+    return all(abs(anchor - r.open_gate_fraction) < STEADY_TOLERANCE
+               for r in records[-STEADY_WINDOW - 1 : -1])
 
 
 def fit(
@@ -253,10 +259,11 @@ def fit(
     """Minibatch training with stochastic gates and noise-free validation.
 
     Selection: the checkpoint maximizing validation AUC among epochs whose
-    open-gate fraction stayed within `steady_tolerance` of the previous
-    `steady_window` epochs; if no epoch is steady, the global AUC best.
-    Ties pick the earlier epoch. Non-finite risk aborts and returns the
-    last finite epoch's parameters.
+    open-gate fraction stayed within STEADY_TOLERANCE of the previous
+    STEADY_WINDOW epochs; if no epoch is steady, the global AUC best.
+    Ties pick the earlier epoch. Non-finite risk aborts the run: the
+    selection is then made among the epochs that finished, and with none
+    finished the initial parameters are returned.
     """
     labels = _check_validation_split(valid_ds)
     params = ModelParams.init(mcfg, tcfg.seed)
@@ -270,7 +277,6 @@ def fit(
     records: list[EpochRecord] = []
     best_steady: tuple[float, int, ModelParams] | None = None
     best_global: tuple[float, int, ModelParams] | None = None
-    last_finite = params.clone()
     diverged = False
 
     for epoch in range(1, tcfg.epochs + 1):
@@ -315,16 +321,15 @@ def fit(
                 f"auc {rec.valid_auc:.4f}  acc {rec.valid_acc:.4f}  "
                 f"open {rec.open_gate_fraction:.3f}"
             )
-        last_finite = params.clone()
         if best_global is None or rec.valid_auc > best_global[0]:
             best_global = (rec.valid_auc, epoch, params.clone())
-        if _steady(records, tcfg.steady_window, tcfg.steady_tolerance):
+        if _steady(records):
             if best_steady is None or rec.valid_auc > best_steady[0]:
                 best_steady = (rec.valid_auc, epoch, params.clone())
 
     if not records:
         return FitResult(
-            params=last_finite, records=[], selected_epoch=0,
+            params=ModelParams.init(mcfg, tcfg.seed), records=[], selected_epoch=0,
             steady_selection=False, diverged=diverged,
         )
     chosen = best_steady if best_steady is not None else best_global
@@ -461,6 +466,11 @@ def run_ablation(
     `epochs` caps each retrain (None: the full tcfg.epochs); with fixed
     gates the aggregation side converges in far fewer epochs than the gated
     model, and the study runs 2 * len(ratios) * repeats retrains."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    for ratio in ratios:
+        if not 0.0 < ratio <= 1.0:
+            raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
     universe = sorted(evaluate.co_occurring_pairs(train_ds))
     is_open = evaluate.pair_gates(universe, trained) > threshold
     predicted = [p for p, o in zip(universe, is_open) if o]
@@ -471,8 +481,6 @@ def run_ablation(
     labels = test_ds.labels()
     for source_idx, (source, pool) in enumerate(sources.items()):
         for ratio_idx, ratio in enumerate(ratios):
-            if not 0.0 < ratio <= 1.0:
-                raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
             per_repeat: list[AblationRow] = []
             for rep in range(repeats):
                 rng = np.random.default_rng([tcfg.seed, source_idx, ratio_idx, rep])

@@ -5,11 +5,9 @@ from l0sign import numcore as nc
 
 
 @pytest.fixture(autouse=True)
-def _restore_numcore_state():
-    """Keep the debug switch and op counter from leaking between tests."""
-    was = nc.debug_checks_enabled()
+def _reset_op_units():
+    """Keep the op counter from leaking between tests."""
     yield
-    nc.set_debug_checks(was)
     nc.reset_op_units()
 
 

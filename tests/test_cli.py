@@ -399,3 +399,74 @@ def test_eval_binary_gates_flag_is_recorded(synth_dir, trained_dir, tmp_path, ca
     assert rc == 0
     metrics = json.loads((tmp_path / "metrics.json").read_text())
     assert metrics["binary_gates"] is True
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--lr", "nan"], "lr"),
+    (["--lambda1", "nan"], "lambda1"),
+    (["--initial-accumulator", "nan"], "initial_accumulator"),
+    (["--lr", "inf"], "lr"),
+    (["--threshold", "nan"], "threshold"),
+])
+def test_train_rejects_non_finite_float_flag(synth_dir, tmp_path, capsys, flags, name):
+    out = tmp_path / "o"
+    rc = cli.main(train_argv(synth_dir, out) + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name} must be a finite number") and err.count("\n") == 1
+    assert not (out / "model.ckpt").exists()
+
+
+def test_non_finite_config_value_names_key_and_file(synth_dir, tmp_path, capsys):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("lr=nan\n")
+    out = tmp_path / "o"
+    rc = cli.main(train_argv(synth_dir, out) + ["--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config file {cfg}: lr must be a finite number, got nan\n"
+    assert not (out / "model.ckpt").exists()
+
+
+def test_eval_rejects_non_finite_threshold(synth_dir, trained_dir, capsys):
+    rc = cli.main(["eval", "--data", str(synth_dir / "data.txt"),
+                   "--checkpoint", str(trained_dir / "model.ckpt"), "--threshold", "nan"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: threshold must be a finite number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_explain_rejects_count_below_one(synth_dir, trained_dir, tmp_path, capsys, count):
+    rc = cli.main(["explain", "--data", str(synth_dir / "data.txt"),
+                   "--checkpoint", str(trained_dir / "model.ckpt"),
+                   "--count", count, "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: count must be at least 1, got {count}\n"
+    assert not (tmp_path / "explanations.json").exists()
+
+
+def test_gradcheck_rejects_zero_instances(capsys):
+    rc = cli.main(["gradcheck", "--instances", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: instances must be at least 1, got 0\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--repeats", "0"], "repeats must be at least 1, got 0"),
+    (["--ratios", "0.2,0.4,1.5"], "ratios must lie in (0, 1], got 1.5"),
+    (["--ratios", "0.5,nan"], "ratios must lie in (0, 1], got nan"),
+])
+def test_ablate_rejects_bad_settings_before_retraining(
+    synth_dir, trained_dir, tmp_path, capsys, monkeypatch, flags, message
+):
+    monkeypatch.setattr(train, "fit", lambda *a, **k: pytest.fail("ablate retrained first"))
+    rc = cli.main(["ablate", "--data", str(synth_dir / "data.txt"),
+                   "--checkpoint", str(trained_dir / "model.ckpt"),
+                   "--out", str(tmp_path), "--seed", "3"] + flags)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "ablation.csv").exists()

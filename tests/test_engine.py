@@ -244,6 +244,8 @@ def every_pair_edge_set(rng, vocab, share):
 
 
 SOURCES = ("stochastic", "deterministic", "binary", "pinned")
+# every engine case aggregates with the soft-degree denominator
+SOURCE_IDS = [f"{source}-soft-degree" for source in SOURCES]
 
 
 def gate_inputs(source, batch, rng):
@@ -262,7 +264,7 @@ def gate_inputs(source, batch, rng):
     return per
 
 
-def engine_options(per, degree=None):
+def engine_options(per):
     opts = {}
     if "noise" in per[0]:
         opts["noise"] = np.concatenate([o["noise"] for o in per])
@@ -270,30 +272,25 @@ def engine_options(per, degree=None):
         opts["pinned_edges"] = np.concatenate([o["pinned"] for o in per])
     if "binary" in per[0]:
         opts["binary_gates"] = True
-    if degree is not None:
-        opts["degree_override"] = np.concatenate(degree)
     return opts
 
 
 # ---------------------------------------------------------------------------
 # Forward and backward of one batch, every gate source.
 
-@pytest.mark.parametrize("override", [False, True], ids=["soft-degree", "degree-override"])
-@pytest.mark.parametrize("source", SOURCES)
-def test_engine_matches_reference_loop(source, override):
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+def test_engine_matches_reference_loop(source):
     rng = np.random.default_rng(SOURCES.index(source))
     params = ModelParams.random(SMALL, seed=5)
     batch = ragged_batch(seed=11)
     per = gate_inputs(source, batch, rng)
-    degree = [rng.uniform(0.5, 2.0, size=inst.n_nodes) for inst in batch] if override else None
     refs = [
         reference_forward(inst, params, noise=o.get("noise"), pinned=o.get("pinned"),
-                          binary=o.get("binary", False),
-                          degree_override=None if degree is None else degree[n])
-        for n, (inst, o) in enumerate(zip(batch, per))
+                          binary=o.get("binary", False))
+        for inst, o in zip(batch, per)
     ]
     layout = model.PairLayout.of(batch)
-    trace = model.forward_batch(layout, params, **engine_options(per, degree))
+    trace = model.forward_batch(layout, params, **engine_options(per))
 
     assert trace.mode == refs[0].mode
     assert_close(trace.scores, [r.score for r in refs], "scores")
@@ -434,22 +431,19 @@ def test_layout_of_distinct_slots_has_identity_rows():
     np.testing.assert_array_equal(rows.pair_j, layout.slot_j)
 
 
-@pytest.mark.parametrize("override", [False, True], ids=["soft-degree", "degree-override"])
-@pytest.mark.parametrize("source", SOURCES)
-def test_engine_matches_reference_on_repeated_pairs(source, override):
+@pytest.mark.parametrize("source", SOURCES, ids=SOURCE_IDS)
+def test_engine_matches_reference_on_repeated_pairs(source):
     rng = np.random.default_rng(10 + SOURCES.index(source))
     params = ModelParams.random(SMALL, seed=6)
     batch = repeating_batch(seed=2)
     per = gate_inputs(source, batch, rng)
-    degree = [rng.uniform(0.5, 2.0, size=inst.n_nodes) for inst in batch] if override else None
     refs = [
         reference_forward(inst, params, noise=o.get("noise"), pinned=o.get("pinned"),
-                          binary=o.get("binary", False),
-                          degree_override=None if degree is None else degree[n])
-        for n, (inst, o) in enumerate(zip(batch, per))
+                          binary=o.get("binary", False))
+        for inst, o in zip(batch, per)
     ]
     layout = model.PairLayout.of(batch)
-    trace = model.forward_batch(layout, params, **engine_options(per, degree))
+    trace = model.forward_batch(layout, params, **engine_options(per))
     rows = trace.rows
     assert rows.pair_i.shape[0] < layout.slot_i.shape[0]
     assert trace.pair_pre.shape == (rows.pair_i.shape[0], SMALL.hidden_dim)

@@ -135,8 +135,8 @@ def test_pair_mlp_symmetric_and_matches_reference():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((5, SMALL.interaction_dim))
     b = rng.standard_normal((5, SMALL.interaction_dim))
-    z = model._pair_mlp(a, b, params)[3]
-    np.testing.assert_array_equal(z, model._pair_mlp(b, a, params)[3])
+    z = model._mlp("pair", a, b, params)[3]
+    np.testing.assert_array_equal(z, model._mlp("pair", b, a, params)[3])
     for row in range(5):
         np.testing.assert_allclose(z[row], reference_interaction(a[row], b[row], params),
                                    atol=1e-14)
@@ -353,22 +353,6 @@ def test_prediction_interactions_are_independent():
     fresh = model.predict(inst, params)
     for p, was in zip(fresh.pairs, before):
         np.testing.assert_array_equal(p.interaction, was)
-
-
-def test_degree_override_replaces_denominator():
-    params = ModelParams.random(SMALL, seed=6)
-    inst = data.make_instance([0, 4], [1.0, 2.0], 1)
-    pinned = np.array([0.5, 0.25, 0.5])
-    trace = model.forward(
-        inst, params, pinned_edges=pinned, degree_override=np.ones(2)
-    )
-    assert trace.degree_overridden
-    np.testing.assert_allclose(trace.node_update, trace.node_sum, atol=1e-14)
-    plain = model.forward(inst, params, pinned_edges=pinned)
-    assert not plain.degree_overridden
-    np.testing.assert_allclose(
-        plain.node_update, plain.node_sum / plain.denom[:, None], atol=1e-14
-    )
 
 
 # ---------------------------------------------------------------------------

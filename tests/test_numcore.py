@@ -171,17 +171,7 @@ def test_sigmoid_backward_vs_numeric(rng):
 
 
 # ---------------------------------------------------------------------------
-# debug checks and op accounting
-
-def test_debug_checks_flag_non_finite_outputs():
-    nc.set_debug_checks(True)
-    with pytest.raises(nc.NonFiniteError):
-        nc.relu(np.array([np.inf]))
-    with np.errstate(over="ignore"), pytest.raises(nc.NonFiniteError):
-        nc.linear(np.array([[1e308]]), np.array([[1e308]]), np.zeros(1))
-    nc.set_debug_checks(False)
-    assert nc.relu(np.array([np.inf]))[0] == np.inf
-
+# op accounting
 
 def test_op_units_count_scalar_work():
     nc.reset_op_units()

@@ -39,6 +39,14 @@ def test_train_config_validation():
         TrainConfig(embedding_update="other")
 
 
+@pytest.mark.parametrize("name", ["lr", "lambda1", "lambda2", "initial_accumulator",
+                                  "gate_threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_train_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        TrainConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # risk
 
@@ -242,7 +250,6 @@ def test_sign_fixed_all_pairs_equals_sign_complete():
 
 
 def test_fit_aborts_on_non_finite_risk():
-    nc.set_debug_checks(False)
     ds = data.Dataset(
         instances=[
             data.make_instance([0, 1], [1e200, 1e200], 1),
