@@ -26,7 +26,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from l0sign import cli, data, evaluate, model
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/synthetic", help="run directory")
     ap.add_argument("--data-seed", type=int, default=1087, help="generator draw")
@@ -38,7 +38,7 @@ def main() -> int:
     ap.add_argument("--noise", type=float, default=0.05)
     ap.add_argument("--epochs", type=int, default=None, help="override the default")
     ap.add_argument("--skip-ablation", action="store_true")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

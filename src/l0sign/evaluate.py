@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -121,9 +121,11 @@ def evaluate_dataset(
 # ---------------------------------------------------------------------------
 # Edge-level reporting.
 
-def co_occurring_pairs(dataset: Dataset) -> Counter:
-    """How many instances contain each unordered feature pair (self-pairs
-    included: a feature co-occurs with itself whenever it appears).
+def pair_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, count) arrays of the unordered feature pairs that co-occur in
+    the dataset, in ascending (i, j) order: count is how many instances
+    contain the pair (self-pairs included: a feature co-occurs with itself
+    whenever it appears).
 
     Each pair occurs at most once per instance, so this counts the pair
     codes of the engine's slots."""
@@ -131,15 +133,13 @@ def co_occurring_pairs(dataset: Dataset) -> Counter:
     codes.extend(layout.pair_codes() for _, layout in model_mod.chunk_layouts(dataset.instances))
     distinct, counts = np.unique(np.concatenate(codes), return_counts=True)
     i, j = model_mod.code_pairs(distinct)
+    return i, j, counts
+
+
+def co_occurring_pairs(dataset: Dataset) -> Counter:
+    """`pair_table` as a Counter keyed by (i, j)."""
+    i, j, counts = pair_table(dataset)
     return Counter(dict(zip(zip(i.tolist(), j.tolist()), counts.tolist())))
-
-
-def pair_gates(pairs: Sequence[tuple[int, int]], params: ModelParams) -> np.ndarray:
-    """Deterministic gate of each unordered feature pair, from one batched
-    pass of the edge MLP."""
-    ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return gates.eval_deterministic(model_mod.edge_logit(ids[:, 0], ids[:, 1], params),
-                                    params.config.gate)
 
 
 @dataclass(frozen=True)
@@ -160,16 +160,12 @@ class EdgeReport:
 def edge_report(dataset: Dataset, params: ModelParams, threshold: float = 0.5) -> EdgeReport:
     """Deterministic gate value and instance count per co-occurring pair,
     plus the fraction counted open at `threshold`."""
-    counts = co_occurring_pairs(dataset)
-    pairs = sorted(counts)
-    gate_values = pair_gates(pairs, params)
-    entries = tuple(
-        EdgeStat(i=i, j=j, gate=gate, count=counts[(i, j)])
-        for (i, j), gate in zip(pairs, gate_values.tolist())
-    )
+    i, j, counts = pair_table(dataset)
+    gate = gates.eval_deterministic(model_mod.edge_logit(i, j, params), params.config.gate)
+    entries = tuple(map(EdgeStat, i.tolist(), j.tolist(), gate.tolist(), counts.tolist()))
     return EdgeReport(
         entries=entries,
-        open_fraction=float(np.mean(gate_values > threshold)) if entries else 0.0,
+        open_fraction=float(np.mean(gate > threshold)) if entries else 0.0,
         threshold=threshold,
     )
 
@@ -198,10 +194,14 @@ def edge_recovery(
     truth = {(min(i, j), max(i, j)) for i, j in truth_pairs}
     if not truth:
         raise ValueError("edge_recovery needs a non-empty planted set")
-    universe = [p for p in sorted(co_occurring_pairs(dataset)) if p[0] != p[1]]
-    is_open = pair_gates(universe, params) > threshold
-    predicted = [p for p, o in zip(universe, is_open) if o]
-    truth_in_universe = truth.intersection(universe)
+    i, j, _ = pair_table(dataset)
+    off = i != j
+    i, j = i[off], j[off]
+    gate = gates.eval_deterministic(model_mod.edge_logit(i, j, params), params.config.gate)
+    is_open = gate > threshold
+    universe = set(zip(i.tolist(), j.tolist()))
+    predicted = tuple(zip(i[is_open].tolist(), j[is_open].tolist()))
+    truth_in_universe = truth & universe
     tp = len(truth_in_universe.intersection(predicted))
     precision = tp / len(predicted) if predicted else 0.0
     recall = tp / len(truth_in_universe) if truth_in_universe else 0.0
@@ -212,7 +212,7 @@ def edge_recovery(
         precision=precision,
         recall=recall,
         f1=f1_value,
-        predicted=tuple(predicted),
+        predicted=predicted,
         universe_size=len(universe),
     )
 

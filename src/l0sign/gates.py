@@ -139,11 +139,8 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _M_LO, _M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _SHIFT32
 _DOUBLE_SCALE = 1.0 / 9007199254740992.0
-# Below this many samples one numpy generator per sample is cheaper than
-# the fixed cost of the vectorized rounds (about 0.3 ms); both give the
-# same bits. Larger requests run the rounds this many samples at a time,
-# which keeps their uint64 temporaries small.
-_VECTOR_MIN_SAMPLES = 16
+# The rounds run this many samples at a time, which keeps their uint64
+# temporaries small.
 _VECTOR_MAX_SAMPLES = 256
 
 
@@ -197,7 +194,8 @@ class NoiseStream:
     bit for bit: that generator bumps the first counter word before each
     block of four 64-bit words, so word w of the sample comes from counter
     (w // 4 + 1, n, 0, 0), lane w % 4. `uniforms` evaluates those blocks for
-    many samples in one vectorized pass; `pair_uniforms` is its batch of one.
+    every sample in vectorized passes, whatever the request's size;
+    `pair_uniforms` is its batch of one.
     """
 
     def __init__(self, seed: int) -> None:
@@ -217,24 +215,12 @@ class NoiseStream:
             raise ValueError("epoch, sample_index, and count must be non-negative")
         samples = samples.astype(np.uint64)
         key = np.array([self.seed, epoch], dtype=np.uint64)
-        if samples.shape[0] < _VECTOR_MIN_SAMPLES:
-            draws = []
-            for n, c in zip(samples.tolist(), counts.tolist()):
-                counter = np.array([0, n, 0, 0], dtype=np.uint64)
-                draws.append(np.random.Generator(np.random.Philox(key=key, counter=counter)).random(c))
-        else:
-            draws = [
-                _philox_uniforms(samples[m : m + _VECTOR_MAX_SAMPLES],
-                                 counts[m : m + _VECTOR_MAX_SAMPLES], key)
-                for m in range(0, samples.shape[0], _VECTOR_MAX_SAMPLES)
-            ]
-        if not draws:
-            return np.empty(0)
-        u = draws[0] if len(draws) == 1 else np.concatenate(draws)
-        # the clip as two in-place ufuncs: np.clip's overhead is a third of
-        # a one-sample draw
-        np.maximum(u, NOISE_EPS, out=u)
-        return np.minimum(u, 1.0 - NOISE_EPS, out=u)
+        u = np.concatenate([np.empty(0)] + [
+            _philox_uniforms(samples[m : m + _VECTOR_MAX_SAMPLES],
+                             counts[m : m + _VECTOR_MAX_SAMPLES], key)
+            for m in range(0, samples.shape[0], _VECTOR_MAX_SAMPLES)
+        ])
+        return np.clip(u, NOISE_EPS, 1.0 - NOISE_EPS, out=u)
 
     def pair_uniforms(self, epoch: int, sample_index: int, count: int) -> np.ndarray:
         return self.uniforms(epoch, [sample_index], [count])

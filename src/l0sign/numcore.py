@@ -195,32 +195,31 @@ class ParamStore:
 
 
 def grad_check(
-    value_and_grad: Callable[[], tuple[float, Mapping[str, np.ndarray]]],
+    value: Callable[[], float],
+    analytic: Mapping[str, np.ndarray],
     params: ParamStore,
     epsilon: float = 1e-5,
 ) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    `value_and_grad()` must return (scalar, {name: gradient}) evaluated at
-    the store's current values; it is re-invoked after each +-epsilon
-    perturbation of every parameter scalar. Returns 0.0 for an empty store.
-    The caller is responsible for keeping any stochastic inputs frozen
-    across invocations.
+    `analytic` maps each parameter name to its gradient at the store's
+    current values; `value()` returns the scalar at the store's current
+    values and is re-invoked after each +-epsilon perturbation of every
+    parameter scalar. Returns 0.0 for an empty store. The caller is
+    responsible for keeping any stochastic inputs frozen across invocations.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    _, analytic = value_and_grad()
-    analytic = {k: np.array(v, dtype=np.float64, copy=True) for k, v in analytic.items()}
     worst = 0.0
     for name in params.names():
         flat = params.value(name).reshape(-1)
-        gflat = analytic[name].reshape(-1)
+        gflat = np.asarray(analytic[name], dtype=np.float64).reshape(-1)
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + epsilon
-            plus = value_and_grad()[0]
+            plus = value()
             flat[idx] = keep - epsilon
-            minus = value_and_grad()[0]
+            minus = value()
             flat[idx] = keep
             numeric = (plus - minus) / (2.0 * epsilon)
             err = abs(gflat[idx] - numeric) / max(abs(gflat[idx]), abs(numeric), 1e-6)

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import evaluate, gates, model as model_mod, numcore as nc
 from .data import Dataset, Instance
-from .gates import GateConfig, NoiseStream
+from .gates import NoiseStream
 from .model import ModelConfig, ModelParams
 
 MODES = ("l0sign", "sign-complete", "sign-fixed")
@@ -47,8 +46,9 @@ class TrainConfig:
         # written so that NaN fails every check
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be at least 1")
+        for name, value in (("batch_size", self.batch_size), ("epochs", self.epochs)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
         for name in ("lambda1", "lambda2", "initial_accumulator"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
@@ -84,39 +84,38 @@ def _pinned(layout: model_mod.PairLayout, tcfg: TrainConfig) -> np.ndarray | Non
 
 
 def risk(
-    batch: Sequence[tuple[int, Instance]],
+    instances: Sequence[Instance],
     params: ModelParams,
     tcfg: TrainConfig,
     *,
-    epoch: int = 0,
-    noise: NoiseStream | None = None,
+    noise: np.ndarray | None = None,
     accumulate_grads: bool = True,
     node_update_sink: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> RiskBreakdown:
-    """Mean risk over (sample_index, instance) pairs; gradients are added to
-    the parameter store when `accumulate_grads` is set.
+    """Mean risk over a batch of instances; gradients are added to the
+    parameter store when `accumulate_grads` is set.
 
     The batch runs through the engine in consecutive chunks of at most
-    `model.CHUNK_SLOTS` pair slots. In "l0sign" mode gates are stochastic
-    when a noise stream is given (keyed by epoch and sample index) and
-    noise-free otherwise; the pinned modes skip the edge side entirely and
-    drop the L0 term. `node_update_sink` collects (node ids, v') per sample,
-    in sample order, for the literal embedding update.
+    `model.CHUNK_SLOTS` pair slots. `noise` holds the batch's per-slot gate
+    uniforms in slot order (see `NoiseStream.uniforms`): "l0sign" gates are
+    stochastic when it is given and noise-free otherwise. The pinned modes
+    ignore it, skip the edge side entirely and drop the L0 term.
+    `node_update_sink` collects (node ids, v') per instance, in batch order,
+    for the literal embedding update.
     """
-    if len(batch) == 0:
+    if len(instances) == 0:
         raise ValueError("risk over an empty batch")
+    if noise is not None:
+        n_slots = sum(model_mod.pair_count(inst.n_nodes) for inst in instances)
+        if noise.shape != (n_slots,):
+            raise nc.ShapeError(f"noise shape {noise.shape}, the batch has {n_slots} pair slots")
     gate_cfg = params.config.gate
-    inv = 1.0 / len(batch)
-    instances = [inst for _, inst in batch]
-    all_noise = None
-    if tcfg.mode == "l0sign" and noise is not None:
-        slot_counts = [model_mod.pair_count(inst.n_nodes) for inst in instances]
-        all_noise = noise.uniforms(epoch, [n for n, _ in batch], slot_counts)
+    inv = 1.0 / len(instances)
     first_slot = 0
     loss_sum = l0_sum = l2_sum = 0.0
     for _, layout in model_mod.chunk_layouts(instances):
         n_slots = layout.slot_i.shape[0]
-        u = None if all_noise is None else all_noise[first_slot : first_slot + n_slots]
+        u = None if noise is None else noise[first_slot : first_slot + n_slots]
         trace = model_mod.forward_batch(layout, params, noise=u, pinned_edges=_pinned(layout, tcfg))
 
         signed = np.fromiter(
@@ -274,6 +273,7 @@ def fit(
     )
     noise = NoiseStream(tcfg.seed)
     n = len(train_ds)
+    slot_counts = np.array([model_mod.pair_count(inst.n_nodes) for inst in train_ds.instances])
     records: list[EpochRecord] = []
     best_steady: tuple[float, int, ModelParams] | None = None
     best_global: tuple[float, int, ModelParams] | None = None
@@ -285,12 +285,11 @@ def fit(
         seen = 0
         for start in range(0, n, tcfg.batch_size):
             idx = perm[start : start + tcfg.batch_size]
-            batch = [(int(i), train_ds.instances[i]) for i in idx]
+            batch = [train_ds.instances[i] for i in idx.tolist()]
+            u = noise.uniforms(epoch, idx, slot_counts[idx]) if tcfg.mode == "l0sign" else None
             params.store.zero_grads()
             sink: list | None = [] if tcfg.embedding_update == "algorithm-literal" else None
-            breakdown = risk(
-                batch, params, tcfg, epoch=epoch, noise=noise, node_update_sink=sink
-            )
+            breakdown = risk(batch, params, tcfg, noise=u, node_update_sink=sink)
             if not math.isfinite(breakdown.total):
                 diverged = True
                 break
@@ -342,6 +341,18 @@ def fit(
     )
 
 
+def _frozen_noise(
+    instance: Instance, tcfg: TrainConfig, sample_index: int, epoch: int
+) -> np.ndarray | None:
+    """The gate noise training draws for `instance` as sample `sample_index`
+    of `epoch`; None in the pinned modes, which draw none."""
+    if tcfg.mode != "l0sign":
+        return None
+    return NoiseStream(tcfg.seed).uniforms(
+        epoch, [sample_index], [model_mod.pair_count(instance.n_nodes)]
+    )
+
+
 def instance_grad_check(
     instance: Instance,
     params: ModelParams,
@@ -351,17 +362,16 @@ def instance_grad_check(
     epoch: int = 0,
     epsilon: float = 1e-5,
 ) -> float:
-    """Gradient check of the full single-instance risk with frozen gate noise."""
-    stream = NoiseStream(tcfg.seed)
-
-    def value_and_grad():
-        params.store.zero_grads()
-        breakdown = risk(
-            [(sample_index, instance)], params, tcfg, epoch=epoch, noise=stream
-        )
-        return breakdown.total, params.store.grads()
-
-    return nc.grad_check(value_and_grad, params.store, epsilon=epsilon)
+    """Gradient check of the full single-instance risk with frozen gate noise:
+    one backward pass for the analytic gradient, then the risk alone at
+    each perturbation."""
+    u = _frozen_noise(instance, tcfg, sample_index, epoch)
+    params.store.zero_grads()
+    risk([instance], params, tcfg, noise=u)
+    return nc.grad_check(
+        lambda: risk([instance], params, tcfg, noise=u, accumulate_grads=False).total,
+        params.store.grads(), params.store, epsilon=epsilon,
+    )
 
 
 def near_gradient_kink(
@@ -385,9 +395,7 @@ def near_gradient_kink(
     """
     tol = margin * epsilon
     layout = model_mod.PairLayout.of((instance,))
-    u = None
-    if tcfg.mode == "l0sign":
-        u = NoiseStream(tcfg.seed).pair_uniforms(epoch, sample_index, layout.slot_i.shape[0])
+    u = _frozen_noise(instance, tcfg, sample_index, epoch)
     trace = model_mod.forward_batch(layout, params, noise=u, pinned_edges=_pinned(layout, tcfg))
     checks = [np.min(np.abs(trace.pair_pre)) < tol]
     if trace.edge_pre is not None:
@@ -468,14 +476,18 @@ def run_ablation(
     model, and the study runs 2 * len(ratios) * repeats retrains."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if epochs is not None and epochs < 1:
+        raise ValueError(f"ablation epochs must be at least 1, got {epochs}")
     for ratio in ratios:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
-    universe = sorted(evaluate.co_occurring_pairs(train_ds))
-    is_open = evaluate.pair_gates(universe, trained) > threshold
-    predicted = [p for p, o in zip(universe, is_open) if o]
-    reversed_set = [p for p, o in zip(universe, is_open) if not o]
-    sources = {"predicted": predicted, "reversed": reversed_set}
+    i, j, _ = evaluate.pair_table(train_ds)
+    logits = model_mod.edge_logit(i, j, trained)
+    is_open = gates.eval_deterministic(logits, trained.config.gate) > threshold
+    sources = {
+        "predicted": list(zip(i[is_open].tolist(), j[is_open].tolist())),
+        "reversed": list(zip(i[~is_open].tolist(), j[~is_open].tolist())),
+    }
 
     rows: list[AblationRow] = []
     labels = test_ds.labels()

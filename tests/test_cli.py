@@ -417,6 +417,18 @@ def test_train_rejects_non_finite_float_flag(synth_dir, tmp_path, capsys, flags,
     assert not (out / "model.ckpt").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--batch", "0"], "batch_size must be at least 1, got 0"),
+    (["--epochs", "0"], "epochs must be at least 1, got 0"),
+])
+def test_train_names_the_setting_below_one(synth_dir, tmp_path, capsys, flags, message):
+    out = tmp_path / "o"
+    rc = cli.main(train_argv(synth_dir, out) + flags)
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "model.ckpt").exists()
+
+
 def test_non_finite_config_value_names_key_and_file(synth_dir, tmp_path, capsys):
     cfg = tmp_path / "train.cfg"
     cfg.write_text("lr=nan\n")
@@ -459,6 +471,7 @@ def test_gradcheck_rejects_zero_instances(capsys):
     (["--repeats", "0"], "repeats must be at least 1, got 0"),
     (["--ratios", "0.2,0.4,1.5"], "ratios must lie in (0, 1], got 1.5"),
     (["--ratios", "0.5,nan"], "ratios must lie in (0, 1], got nan"),
+    (["--ablate-epochs", "0"], "ablation epochs must be at least 1, got 0"),
 ])
 def test_ablate_rejects_bad_settings_before_retraining(
     synth_dir, trained_dir, tmp_path, capsys, monkeypatch, flags, message

@@ -64,13 +64,11 @@ class Ref:
     node_sum: np.ndarray
     soft_degree: np.ndarray
     denom: np.ndarray
-    overridden: bool
     node_update: np.ndarray
     score: float
 
 
-def reference_forward(inst, params, *, noise=None, pinned=None, degree_override=None,
-                      binary=False):
+def reference_forward(inst, params, *, noise=None, pinned=None, binary=False):
     cfg = params.config
     ids, x, k = inst.node_array, inst.value_array, inst.n_nodes
     pi, pj = np.triu_indices(k)
@@ -104,14 +102,12 @@ def reference_forward(inst, params, *, noise=None, pinned=None, degree_override=
     soft_degree = np.zeros(k)
     np.add.at(soft_degree, pi, edge_values)
     np.add.at(soft_degree, pj[off], edge_values[off])
-    overridden = degree_override is not None
-    denom = (np.asarray(degree_override, dtype=np.float64) if overridden
-             else np.maximum(soft_degree, model.DEGREE_EPS))
+    denom = np.maximum(soft_degree, model.DEGREE_EPS)
     node_update = node_sum / denom[:, None]
     node_readout = (x[:, None] * node_update) @ params.value("readout")
     return Ref(inst, mode, pi, pj, off, edge_vecs, node_vecs, edge_prod, edge_pre, edge_act,
                log_alpha, gate, edge_values, pair_prod, pair_pre, pair_act, interactions,
-               node_sum, soft_degree, denom, overridden, node_update,
+               node_sum, soft_degree, denom, node_update,
                float(node_readout.mean()))
 
 
@@ -130,11 +126,8 @@ def reference_backward(ref, params, d_score, *, d_interactions=None, d_log_alpha
     store.accumulate("readout", g_node_readout @ (x[:, None] * ref.node_update))
     g_node_update = x[:, None] * np.outer(g_node_readout, params.value("readout"))
     g_node_sum = g_node_update / ref.denom[:, None]
-    if ref.overridden:
-        g_soft_degree = np.zeros(k)
-    else:
-        g_denom = -(g_node_update * ref.node_sum).sum(axis=1) / ref.denom**2
-        g_soft_degree = np.where(ref.soft_degree > model.DEGREE_EPS, g_denom, 0.0)
+    g_denom = -(g_node_update * ref.node_sum).sum(axis=1) / ref.denom**2
+    g_soft_degree = np.where(ref.soft_degree > model.DEGREE_EPS, g_denom, 0.0)
     g_gated = g_node_sum[pi] + np.where(off[:, None], g_node_sum[pj], 0.0)
     g_edge_values = (g_gated * ref.interactions).sum(axis=1)
     g_edge_values += g_soft_degree[pi] + np.where(off, g_soft_degree[pj], 0.0)
@@ -229,6 +222,18 @@ def assert_close(got, want, what):
     scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
     worst = float(np.max(np.abs(got - want), initial=0.0))
     assert worst <= TOL * scale, f"{what}: max |diff| {worst:.3e}"
+
+
+def engine_risk(batch, params, tcfg, *, epoch=0, noise_seed=None, **kwargs):
+    """`train.risk` over one of `reference_risk`'s (sample_index, instance)
+    batches, with the gate noise `fit` would draw for those samples (which
+    the pinned modes ignore)."""
+    instances = [inst for _, inst in batch]
+    noise = None
+    if noise_seed is not None:
+        counts = [model.pair_count(inst.n_nodes) for inst in instances]
+        noise = NoiseStream(noise_seed).uniforms(epoch, [n for n, _ in batch], counts)
+    return train.risk(instances, params, tcfg, noise=noise, **kwargs)
 
 
 def grads_of(params, fn):
@@ -549,8 +554,8 @@ def test_risk_at_the_chunk_budget_matches_reference(name, monkeypatch):
                                                                noise_seed=tcfg.seed))
     for budget in (model.CHUNK_SLOTS, 10**6):  # many chunks, then one
         monkeypatch.setattr(model, "CHUNK_SLOTS", budget)
-        got, got_grads = grads_of(params, lambda: train.risk(batch, params, tcfg, epoch=2,
-                                                             noise=NoiseStream(tcfg.seed)))
+        got, got_grads = grads_of(params, lambda: engine_risk(batch, params, tcfg, epoch=2,
+                                                              noise_seed=tcfg.seed))
         assert_close([got.total, got.loss, got.l0, got.l2], want, f"risk parts, budget {budget}")
         for block in model.PARAM_ORDER:
             assert_close(got_grads[block], want_grads[block], f"{block}, budget {budget}")
@@ -578,14 +583,13 @@ def test_risk_matches_reference_loop(name, monkeypatch):
     # sample indices out of order and beyond 2**32: noise is keyed, not positional
     batch = [(2**33 + 5 * n if n % 2 else 7 * n, inst)
              for n, inst in enumerate(ragged_batch(seed=12) * 3)]
-    noise = NoiseStream(tcfg.seed) if use_noise else None
     seed = tcfg.seed if use_noise else None
     want, want_grads = grads_of(params, lambda: reference_risk(batch, params, tcfg, epoch=4,
                                                                noise_seed=seed))
     for budget in (10**6, 10):  # one chunk, then many
         monkeypatch.setattr(model, "CHUNK_SLOTS", budget)
-        got, got_grads = grads_of(params, lambda: train.risk(batch, params, tcfg, epoch=4,
-                                                             noise=noise))
+        got, got_grads = grads_of(params, lambda: engine_risk(batch, params, tcfg, epoch=4,
+                                                              noise_seed=seed))
         assert_close([got.total, got.loss, got.l0, got.l2], want, f"risk parts, budget {budget}")
         for block in model.PARAM_ORDER:
             assert_close(got_grads[block], want_grads[block], f"{block}, budget {budget}")
@@ -598,8 +602,8 @@ def test_risk_is_the_same_in_one_chunk_or_many(monkeypatch):
     results = []
     for budget in (10**6, 64, 21, 1):
         monkeypatch.setattr(model, "CHUNK_SLOTS", budget)
-        results.append(grads_of(params, lambda: train.risk(batch, params, tcfg, epoch=1,
-                                                           noise=NoiseStream(2))))
+        results.append(grads_of(params, lambda: engine_risk(batch, params, tcfg, epoch=1,
+                                                            noise_seed=2)))
     (one, one_grads), *rest = results
     for got, got_grads in rest:
         assert_close([got.total, got.loss, got.l0, got.l2],
@@ -616,7 +620,7 @@ def test_node_update_sink_keeps_sample_order(monkeypatch):
     want = []
     reference_risk(batch, params, tcfg, epoch=2, noise_seed=3, sink=want)
     got = []
-    train.risk(batch, params, tcfg, epoch=2, noise=NoiseStream(3), node_update_sink=got)
+    engine_risk(batch, params, tcfg, epoch=2, noise_seed=3, node_update_sink=got)
     assert len(got) == len(want) == len(batch)
     for (ids, upd), (want_ids, want_upd) in zip(got, want):
         np.testing.assert_array_equal(ids, want_ids)
@@ -660,7 +664,7 @@ def test_vectorized_noise_is_numpy_philox_bit_for_bit(seed):
     stream = NoiseStream(seed)
     for epoch in (0, 1, 2**62):
         want = [reference_uniforms(seed, epoch, n, c) for n, c in zip(samples, counts)]
-        # many samples take the vectorized rounds, a few one generator each
+        # many samples and small requests, all through the vectorized rounds
         for lo, hi in ((0, len(samples)), (0, 6), (3, 5)):
             got = stream.uniforms(epoch, samples[lo:hi], counts[lo:hi])
             assert got.tobytes() == np.concatenate(want[lo:hi]).tobytes()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from l0sign import data, evaluate, gates, model, train
+from l0sign import data, gates, model, train
 from l0sign import numcore as nc
 from l0sign.model import ModelConfig, ModelParams
 from l0sign.train import Adagrad, EpochRecord, TrainConfig
@@ -23,10 +23,10 @@ def small_dataset(n=240, vocab=12, k=4, n_pairs=6, seed=0):
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="batch_size must be at least 1, got 0"):
         TrainConfig(batch_size=0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="epochs must be at least 1, got -2"):
+        TrainConfig(epochs=-2)
     with pytest.raises(ValueError):
         TrainConfig(lambda1=-1e-3)
     with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ def test_risk_loss_is_log2_at_zero_readout():
     params.value("readout")[...] = 0.0
     inst = data.make_instance([0, 3, 7], [1.0, 0.5, 2.0], 1)
     tcfg = TrainConfig(seed=0)
-    breakdown = train.risk([(0, inst)], params, tcfg, accumulate_grads=False)
+    breakdown = train.risk([inst], params, tcfg, accumulate_grads=False)
     assert breakdown.loss == math.log(2.0)
     assert breakdown.total == breakdown.loss + tcfg.lambda1 * breakdown.l0 + (
         tcfg.lambda2 * breakdown.l2
@@ -69,7 +69,7 @@ def test_risk_parts_match_traces():
         data.make_instance([4, 9], [0.5, 2.0], 0),
     ]
     tcfg = TrainConfig(seed=0)
-    breakdown = train.risk(list(enumerate(insts)), params, tcfg, accumulate_grads=False)
+    breakdown = train.risk(insts, params, tcfg, accumulate_grads=False)
     loss = l0 = l2 = 0.0
     for inst in insts:
         trace = model.forward(inst, params)  # noise-free, same as risk here
@@ -85,7 +85,7 @@ def test_risk_pinned_modes_have_no_l0_term():
     params = ModelParams.random(SMALL, seed=2)
     inst = data.make_instance([0, 1], [1.0, 1.0], 1)
     tcfg = TrainConfig(mode="sign-complete", seed=0)
-    breakdown = train.risk([(0, inst)], params, tcfg, accumulate_grads=False)
+    breakdown = train.risk([inst], params, tcfg, accumulate_grads=False)
     assert breakdown.l0 == 0.0
 
 
@@ -93,6 +93,17 @@ def test_risk_rejects_empty_batch():
     params = ModelParams.random(SMALL, seed=3)
     with pytest.raises(ValueError):
         train.risk([], params, TrainConfig())
+
+
+@pytest.mark.parametrize("mode", ["l0sign", "sign-complete"])
+@pytest.mark.parametrize("n_slots", [8, 10])  # the batch has 9 pair slots
+def test_risk_rejects_noise_of_the_wrong_length(mode, n_slots):
+    params = ModelParams.random(SMALL, seed=3)
+    insts = [data.make_instance([0, 1], [1.0, 1.0], 1), data.make_instance([2, 4, 5], [1.0] * 3, 0)]
+    params.store.zero_grads()
+    with pytest.raises(nc.ShapeError, match="9 pair slots"):
+        train.risk(insts, params, TrainConfig(mode=mode), noise=np.full(n_slots, 0.5))
+    assert all(not params.store.grad(n).any() for n in params.store.names())
 
 
 def test_batch_gradient_is_mean_of_instance_gradients():
@@ -103,16 +114,18 @@ def test_batch_gradient_is_mean_of_instance_gradients():
         data.make_instance([3], [1.0], 1),
     ]
     tcfg = TrainConfig(seed=0)
-    noise = gates.NoiseStream(0)
+    counts = [model.pair_count(inst.n_nodes) for inst in insts]
+    noise = gates.NoiseStream(0).uniforms(1, range(len(insts)), counts)
 
     params.store.zero_grads()
-    train.risk(list(enumerate(insts)), params, tcfg, epoch=1, noise=noise)
+    train.risk(insts, params, tcfg, noise=noise)
     batch_grads = {n: params.store.grad(n).copy() for n in params.store.names()}
 
     mean_grads = {n: np.zeros_like(g) for n, g in batch_grads.items()}
-    for idx, inst in enumerate(insts):
+    bounds = np.cumsum(counts)[:-1]
+    for inst, u in zip(insts, np.split(noise, bounds)):
         params.store.zero_grads()
-        train.risk([(idx, inst)], params, tcfg, epoch=1, noise=noise)
+        train.risk([inst], params, tcfg, noise=u)
         for n in mean_grads:
             mean_grads[n] += params.store.grad(n) / len(insts)
 
@@ -189,8 +202,7 @@ def test_adagrad_validation():
 # training loop
 
 def dataset_risk(ds, params, tcfg):
-    batch = list(enumerate(ds.instances))
-    return train.risk(batch, params, tcfg, accumulate_grads=False).total
+    return train.risk(ds.instances, params, tcfg, accumulate_grads=False).total
 
 
 def test_first_epoch_decreases_risk():
@@ -347,6 +359,21 @@ def test_instance_grad_check_passes_at_generic_position():
     inst, params, tcfg = kink_free_case()
     err = train.instance_grad_check(inst, params, tcfg)
     assert err < 1e-4
+
+
+def test_instance_grad_check_runs_one_backward_pass(monkeypatch):
+    inst, params, tcfg = kink_free_case()
+    passes = []
+    backward = model.backward
+
+    def counted(*args, **kwargs):
+        passes.append(1)
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(model, "backward", counted)
+    for case in range(2):
+        train.instance_grad_check(inst, params, tcfg, sample_index=case)
+        assert len(passes) == case + 1
 
 
 def test_near_gradient_kink_flags_zero_preactivation():
