@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -98,13 +99,51 @@ class PlantedPairs:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """Rows of instances in CSR form (compressed sparse rows): row r holds
+    the `counts[r]` nodes of `ids` and `values` that start at `offsets[r]`.
+    `instances` are the row objects the columns were read from."""
+
+    instances: tuple[Instance, ...]
+    counts: np.ndarray  # (B,) nodes per row
+    offsets: np.ndarray  # (B,) position of each row's first node
+    ids: np.ndarray  # (N,) feature id of each node
+    values: np.ndarray  # (N,) feature value of each node
+    labels: np.ndarray  # (B,) 0/1
+
+
+def columns_of(source: Dataset | Sequence[Instance]) -> Columns:
+    """The columns of a dataset (built once and kept on it) or of a
+    sequence of instances (built now)."""
+    if isinstance(source, Dataset):
+        return source.columns
+    instances = tuple(source)
+    n = len(instances)
+    counts = np.fromiter((len(inst.nodes) for inst in instances), np.int64, n)
+    n_nodes = int(counts.sum())
+    return Columns(
+        instances,
+        counts,
+        np.cumsum(counts) - counts,
+        np.fromiter(chain.from_iterable(inst.nodes for inst in instances), np.int64, n_nodes),
+        np.fromiter(chain.from_iterable(inst.values for inst in instances), np.float64, n_nodes),
+        np.fromiter((inst.label for inst in instances), np.int64, n),
+    )
+
+
+@dataclass(frozen=True)
 class Dataset:
-    instances: list[Instance]
+    """Instances (kept as a tuple, so they cannot change under the columns
+    read from them), their vocabulary and, for synthetic data, the planted
+    ground truth."""
+
+    instances: tuple[Instance, ...]
     vocab_size: int
     planted: PlantedPairs | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "instances", tuple(self.instances))
         if self.vocab_size <= 0:
             raise ValueError("vocab_size must be positive")
         for inst in self.instances:
@@ -118,6 +157,14 @@ class Dataset:
 
     def labels(self) -> np.ndarray:
         return np.asarray([inst.label for inst in self.instances], dtype=np.int64)
+
+    @cached_property
+    def columns(self) -> Columns:
+        """The instances in CSR form, read on first use: the batched engine
+        callers (training, validation, scoring, pair tables) gather their
+        layouts from these. Datasets that are only split, saved or
+        explained never build them."""
+        return columns_of(self.instances)
 
 
 def parse_line(line: str, line_number: int | None = None) -> Instance:

@@ -104,7 +104,7 @@ def score_dataset(
 ) -> np.ndarray:
     """Raw scores for every instance; graded deterministic gates by default,
     thresholded 0/1 gates when `binary_gates` is set."""
-    return model_mod.score_many(dataset.instances, params, binary_gates=binary_gates)
+    return model_mod.score_many(dataset, params, binary_gates=binary_gates)
 
 
 def evaluate_dataset(
@@ -130,7 +130,7 @@ def pair_table(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each pair occurs at most once per instance, so this counts the pair
     codes of the engine's slots."""
     codes = [np.empty(0, dtype=np.int64)]
-    codes.extend(layout.pair_codes() for _, layout in model_mod.chunk_layouts(dataset.instances))
+    codes.extend(layout.pair_codes() for _, layout in model_mod.chunk_layouts(dataset.columns))
     distinct, counts = np.unique(np.concatenate(codes), return_counts=True)
     i, j = model_mod.code_pairs(distinct)
     return i, j, counts

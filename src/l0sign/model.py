@@ -26,14 +26,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import gates, numcore as nc
-from .data import Dataset, Instance
+from .data import Columns, Dataset, Instance, columns_of
 from .gates import GateBatch, GateConfig
 
 DEGREE_EPS = 1e-8  # soft-degree floor in the aggregation denominator
@@ -208,18 +207,19 @@ def _pair_tables(k_max: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_CODE_BASE = 2**31  # pair codes hold feature ids below this, in int64
 
 # Pair slots per engine pass in the batched callers (training risk,
-# validation, dataset scoring). The MLP arrays are distinct rows x
-# hidden_dim floats, so where pairs repeat, larger chunks spread the
+# validation, dataset scoring, pair tables). The MLP arrays are distinct
+# rows x hidden_dim floats, so where pairs repeat, larger chunks spread the
 # per-pass cost (layout, unique passes, Python overhead) over more slots;
 # where they do not (uniform Frappe-shaped draws: 90% of slots distinct),
 # rows and memory still grow with the chunk. Measured on 2 CPUs, numpy
-# 2.4.6, one BLAS thread: `train.risk` on one 1024-row minibatch of the
-# acceptance shape took 65 ms at 1024 slots and 53 ms at 2048 (124 ms in
-# 256-slot chunks with one MLP row per slot), of the Frappe shape 253 ms at
-# both. Against 256-slot chunks with one row per slot, benchmark peak RSS
-# grew by 1.5-3.3% at 1024 slots, but by 9% on `infer-frappe` at 2048
-# (its bound is 10%).
-CHUNK_SLOTS = 1024
+# 2.4.6, one BLAS thread, layouts gathered from dataset columns:
+# `train.risk` on one 1024-row minibatch of the acceptance shape took
+# about 24 ms at 1024 slots, 18 ms at 2048 and 15 ms at 4096; of the
+# Frappe shape 98, 86 and 86 ms. In 8 s benchmark runs, peak RSS against
+# 1024 slots grew by 3.7% (train-planted), 2.9% (retrain-pinned) and 4.6%
+# (infer-frappe) at 2048, but by 7.9%, 6.7% and 12.5% at 4096 (the
+# benchmark's bound is 10%).
+CHUNK_SLOTS = 2048
 
 
 class PairRows(NamedTuple):
@@ -248,7 +248,10 @@ class PairLayout:
     instance) is one slot that addresses two global node indices
     `slot_i <= slot_j`. Node and instance reductions are segment sums over
     `node_instance` / `slot_instance` and the gather lists below;
-    `distinct_rows` finds the layout's distinct MLP inputs.
+    `distinct_rows` finds the layout's distinct MLP inputs. Batched callers
+    gather their layouts from a dataset's columns (`gather`); `of` reads
+    the columns of the instances it is given, one instance through a
+    cached pattern.
     """
 
     instances: tuple[Instance, ...]
@@ -272,32 +275,38 @@ class PairLayout:
         if len(instances) == 1:
             inst = instances[0]
             return cls(instances, inst.node_array, inst.value_array, *_single_layout(inst.n_nodes))
-        if not instances:
+        return cls.gather(columns_of(instances), np.arange(len(instances)))
+
+    @classmethod
+    def gather(cls, columns: Columns, rows: np.ndarray) -> "PairLayout":
+        """Layout of the rows `rows` of `columns`, in that order (rows may
+        repeat), read from the columns with numpy gathers."""
+        if rows.shape[0] == 0:
             raise ValueError("a pair layout needs at least one instance")
-        counts = np.fromiter((inst.n_nodes for inst in instances), np.int64, len(instances))
+        counts = columns.counts[rows]
         slot_counts = counts * (counts + 1) // 2
-        batch = np.arange(len(instances))
+        batch = np.arange(rows.shape[0])
         slot_instance = np.repeat(batch, slot_counts)
+        node_instance = np.repeat(batch, counts)
         # slot s is local pair number `local` of its instance, whose nodes
         # start at `offset` in the concatenated node arrays
         first_slot = np.cumsum(slot_counts) - slot_counts
         local = np.arange(slot_instance.shape[0]) - first_slot[slot_instance]
-        offset = (np.cumsum(counts) - counts)[slot_instance]
+        first_node = np.cumsum(counts) - counts
+        offset = first_node[slot_instance]
         ti, tj = _pair_tables(int(counts.max()))
         k_of_slot = counts[slot_instance]
         slot_i = ti[k_of_slot, local] + offset
         slot_j = tj[k_of_slot, local] + offset
-        # read from the node tuples: per-instance arrays would stay cached on
-        # every instance of the batch
-        n_nodes = int(counts.sum())
-        ids = np.fromiter(chain.from_iterable(inst.nodes for inst in instances), np.int64, n_nodes)
-        values = np.fromiter(chain.from_iterable(inst.values for inst in instances), float, n_nodes)
+        # node n of the layout is node n + shift[its instance] of the columns
+        shift = columns.offsets[rows] - first_node
+        source = np.arange(node_instance.shape[0]) + shift[node_instance]
         return cls(
-            instances,
-            ids,
-            values,
+            tuple(map(columns.instances.__getitem__, rows.tolist())),
+            columns.ids[source],
+            columns.values[source],
             counts,
-            np.repeat(batch, counts),
+            node_instance,
             slot_instance,
             slot_i,
             slot_j,
@@ -382,23 +391,27 @@ def _single_rows(k: int) -> PairRows:
     return PairRows(slot_i, slot_j, slots, slot_i, slot_j, slots)
 
 
-def chunk_layouts(instances: Sequence[Instance]) -> Iterator[tuple[int, PairLayout]]:
-    """Layouts of consecutive runs of `instances` with at most CHUNK_SLOTS
-    pair slots each (a larger instance gets a run of its own), with the
-    position of each run's first instance."""
-    n = len(instances)
+def chunk_layouts(
+    columns: Columns, rows: np.ndarray | None = None
+) -> Iterator[tuple[int, PairLayout]]:
+    """Layouts of consecutive runs of `rows` (default: every row of `columns`)
+    with at most CHUNK_SLOTS pair slots each (a larger instance gets a run
+    of its own), with the position in `rows` of each run's first row."""
+    if rows is None:
+        rows = np.arange(columns.counts.shape[0])
+    n = rows.shape[0]
     if n == 0:
         return
     if n == 1:  # one run, without the budget search (one-instance risk calls)
-        yield 0, PairLayout.of(instances)
+        yield 0, PairLayout.of((columns.instances[rows[0]],))
         return
-    ks = np.fromiter((inst.n_nodes for inst in instances), np.int64, n)
+    ks = columns.counts[rows]
     ends = np.cumsum(ks * (ks + 1) // 2)
     start = 0
     while start < n:
         used = ends[start - 1] if start else 0
         stop = max(int(np.searchsorted(ends, used + CHUNK_SLOTS, side="right")), start + 1)
-        yield start, PairLayout.of(instances[start:stop])
+        yield start, PairLayout.gather(columns, rows[start:stop])
         start = stop
 
 
@@ -749,7 +762,7 @@ def backward(
     np.add.at(store.grad("edge_embed"), ids, g_edge_vecs)
 
 def score_many(
-    instances: Sequence[Instance],
+    instances: Dataset | Sequence[Instance],
     params: ModelParams,
     *,
     binary_gates: bool = False,
@@ -759,7 +772,7 @@ def score_many(
     gates pinned to membership in `edges` (unordered feature-id pairs)."""
     codes = None if edges is None else edge_codes(edges)
     scores = np.empty(len(instances))
-    for start, layout in chunk_layouts(instances):
+    for start, layout in chunk_layouts(columns_of(instances)):
         pinned = None if codes is None else pinned_edges(layout, codes)
         trace = forward_batch(layout, params, pinned_edges=pinned, binary_gates=binary_gates)
         scores[start : start + trace.scores.shape[0]] = trace.scores
@@ -1009,7 +1022,7 @@ def _read_checkpoint(fh) -> tuple[ModelParams, dict]:
 
 def check_vocabulary(params: ModelParams, dataset: Dataset) -> None:
     """Reject data whose feature ids have no embedding in the checkpoint."""
-    top = max(inst.nodes[-1] for inst in dataset.instances)
+    top = max((inst.nodes[-1] for inst in dataset.instances), default=-1)
     if top >= params.config.vocab_size:
         raise ValueError(
             f"data holds feature id {top}, but the checkpoint's vocabulary has only "

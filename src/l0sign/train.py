@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import evaluate, gates, model as model_mod, numcore as nc
-from .data import Dataset, Instance
+from .data import Dataset, Instance, columns_of
 from .gates import NoiseStream
 from .model import ModelConfig, ModelParams
 
@@ -84,43 +84,49 @@ def _pinned(layout: model_mod.PairLayout, tcfg: TrainConfig) -> np.ndarray | Non
 
 
 def risk(
-    instances: Sequence[Instance],
+    instances: Dataset | Sequence[Instance],
     params: ModelParams,
     tcfg: TrainConfig,
     *,
+    rows: np.ndarray | None = None,
     noise: np.ndarray | None = None,
     accumulate_grads: bool = True,
     node_update_sink: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> RiskBreakdown:
-    """Mean risk over a batch of instances; gradients are added to the
-    parameter store when `accumulate_grads` is set.
+    """Mean risk over a batch, the rows `rows` of `instances` in that order
+    (default: all of them); gradients are added to the parameter store when
+    `accumulate_grads` is set.
 
-    The batch runs through the engine in consecutive chunks of at most
-    `model.CHUNK_SLOTS` pair slots. `noise` holds the batch's per-slot gate
-    uniforms in slot order (see `NoiseStream.uniforms`): "l0sign" gates are
-    stochastic when it is given and noise-free otherwise. The pinned modes
-    ignore it, skip the edge side entirely and drop the L0 term.
-    `node_update_sink` collects (node ids, v') per instance, in batch order,
-    for the literal embedding update.
+    The batch's layouts are gathered from the columns of `instances` (see
+    `Dataset.columns`) and run through the engine in consecutive chunks of
+    at most `model.CHUNK_SLOTS` pair slots. `noise` holds the batch's
+    per-slot gate uniforms in slot order (see `NoiseStream.uniforms`):
+    "l0sign" gates are stochastic when it is given and noise-free
+    otherwise. The pinned modes ignore it, skip the edge side entirely and
+    drop the L0 term. `node_update_sink` collects (node ids, v') per
+    instance, in batch order, for the literal embedding update.
     """
-    if len(instances) == 0:
+    columns = columns_of(instances)
+    if rows is None:
+        rows = np.arange(columns.counts.shape[0])
+    if rows.shape[0] == 0:
         raise ValueError("risk over an empty batch")
     if noise is not None:
-        n_slots = sum(model_mod.pair_count(inst.n_nodes) for inst in instances)
+        ks = columns.counts[rows]
+        n_slots = int(ks @ (ks + 1)) // 2
         if noise.shape != (n_slots,):
             raise nc.ShapeError(f"noise shape {noise.shape}, the batch has {n_slots} pair slots")
+    signed_labels = 2.0 * columns.labels[rows] - 1.0
     gate_cfg = params.config.gate
-    inv = 1.0 / len(instances)
+    inv = 1.0 / rows.shape[0]
     first_slot = 0
     loss_sum = l0_sum = l2_sum = 0.0
-    for _, layout in model_mod.chunk_layouts(instances):
+    for start, layout in model_mod.chunk_layouts(columns, rows):
         n_slots = layout.slot_i.shape[0]
         u = None if noise is None else noise[first_slot : first_slot + n_slots]
         trace = model_mod.forward_batch(layout, params, noise=u, pinned_edges=_pinned(layout, tcfg))
 
-        signed = np.fromiter(
-            (inst.signed_label for inst in layout.instances), np.float64, layout.counts.shape[0]
-        )
+        signed = signed_labels[start : start + layout.counts.shape[0]]
         margin = signed * trace.scores
         loss_sum += float(np.logaddexp(0.0, -margin).sum())
         l2_sum += float((trace.interactions**2).sum())
@@ -229,7 +235,9 @@ def _validate(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> tuple[n
     exceeds the report threshold, from one engine pass per chunk."""
     scores = np.empty(len(valid))
     open_count = total = 0
-    for start, layout in model_mod.chunk_layouts(valid.instances):
+    # gathered anew every epoch: the gathers are cheap, and layouts kept
+    # for the whole fit would raise its peak memory
+    for start, layout in model_mod.chunk_layouts(valid.columns):
         trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
         scores[start : start + trace.scores.shape[0]] = trace.scores
         open_count += int((trace.edge_values > tcfg.gate_threshold).sum())
@@ -264,6 +272,8 @@ def fit(
     selection is then made among the epochs that finished, and with none
     finished the initial parameters are returned.
     """
+    if len(train_ds) == 0:
+        raise ValueError("the training split is empty")
     labels = _check_validation_split(valid_ds)
     params = ModelParams.init(mcfg, tcfg.seed)
     frozen = ("node_embed",) if tcfg.embedding_update == "algorithm-literal" else ()
@@ -273,7 +283,8 @@ def fit(
     )
     noise = NoiseStream(tcfg.seed)
     n = len(train_ds)
-    slot_counts = np.array([model_mod.pair_count(inst.n_nodes) for inst in train_ds.instances])
+    node_counts = train_ds.columns.counts
+    slot_counts = node_counts * (node_counts + 1) // 2
     records: list[EpochRecord] = []
     best_steady: tuple[float, int, ModelParams] | None = None
     best_global: tuple[float, int, ModelParams] | None = None
@@ -285,11 +296,10 @@ def fit(
         seen = 0
         for start in range(0, n, tcfg.batch_size):
             idx = perm[start : start + tcfg.batch_size]
-            batch = [train_ds.instances[i] for i in idx.tolist()]
             u = noise.uniforms(epoch, idx, slot_counts[idx]) if tcfg.mode == "l0sign" else None
             params.store.zero_grads()
             sink: list | None = [] if tcfg.embedding_update == "algorithm-literal" else None
-            breakdown = risk(batch, params, tcfg, noise=u, node_update_sink=sink)
+            breakdown = risk(train_ds, params, tcfg, rows=idx, noise=u, node_update_sink=sink)
             if not math.isfinite(breakdown.total):
                 diverged = True
                 break
@@ -300,8 +310,8 @@ def fit(
                 table = params.store.value("node_embed")
                 for ids, updates in sink:
                     table[ids] = updates
-            risk_sum += breakdown.total * len(batch)
-            seen += len(batch)
+            risk_sum += breakdown.total * len(idx)
+            seen += len(idx)
         if diverged:
             break
 
@@ -365,11 +375,12 @@ def instance_grad_check(
     """Gradient check of the full single-instance risk with frozen gate noise:
     one backward pass for the analytic gradient, then the risk alone at
     each perturbation."""
+    one = Dataset((instance,), params.config.vocab_size)  # its columns serve every probe
     u = _frozen_noise(instance, tcfg, sample_index, epoch)
     params.store.zero_grads()
-    risk([instance], params, tcfg, noise=u)
+    risk(one, params, tcfg, noise=u)
     return nc.grad_check(
-        lambda: risk([instance], params, tcfg, noise=u, accumulate_grads=False).total,
+        lambda: risk(one, params, tcfg, noise=u, accumulate_grads=False).total,
         params.store.grads(), params.store, epsilon=epsilon,
     )
 
@@ -511,7 +522,7 @@ def run_ablation(
                     epochs=epochs if epochs is not None else tcfg.epochs,
                 )
                 result = fit(train_ds, valid_ds, trained.config, run_cfg)
-                scores = model_mod.score_many(test_ds.instances, result.params, edges=subset)
+                scores = model_mod.score_many(test_ds, result.params, edges=subset)
                 per_repeat.append(
                     AblationRow(
                         source=source,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,6 +139,41 @@ def test_load_dataset_rejects_empty(tmp_path):
 def test_dataset_rejects_out_of_vocab():
     with pytest.raises(ValueError):
         Dataset(instances=[data.make_instance([5], [1.0], 0)], vocab_size=5)
+
+
+def test_dataset_columns_are_its_rows_in_csr_form():
+    rows = [data.make_instance([3, 1], [0.5, 2.0], 1), data.make_instance([4], [1.0], 0),
+            data.make_instance([0, 2, 4], [1.0, -3.0, 1.0], 1)]
+    cols = Dataset(rows, vocab_size=5).columns
+    assert cols.instances == tuple(rows)
+    np.testing.assert_array_equal(cols.counts, [2, 1, 3])
+    np.testing.assert_array_equal(cols.offsets, [0, 2, 3])
+    np.testing.assert_array_equal(cols.ids, [1, 3, 4, 0, 2, 4])
+    np.testing.assert_array_equal(cols.values, [2.0, 0.5, 1.0, 1.0, -3.0, 1.0])
+    np.testing.assert_array_equal(cols.labels, [1, 0, 1])
+    assert [a.dtype for a in (cols.counts, cols.offsets, cols.ids, cols.values, cols.labels)] == [
+        np.int64, np.int64, np.int64, np.float64, np.int64]
+    empty = Dataset([], vocab_size=3).columns
+    assert empty.instances == () and all(
+        a.shape == (0,) for a in (empty.counts, empty.offsets, empty.ids, empty.values))
+
+
+def test_dataset_columns_never_go_stale():
+    rows = [data.make_instance([0, 1], [1.0, 1.0], 1), data.make_instance([2], [1.0], 0)]
+    ds = Dataset(rows, vocab_size=4)
+    cols = ds.columns
+    assert ds.columns is cols  # built once
+    rows.append(data.make_instance([3], [1.0], 1))  # the caller's list is not the dataset's
+    rows[0] = data.make_instance([3], [2.0], 0)
+    assert len(ds) == 2 and ds.columns is cols
+    np.testing.assert_array_equal(cols.ids, [0, 1, 2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.instances = rows
+    other = dataclasses.replace(ds, instances=rows)
+    np.testing.assert_array_equal(other.columns.ids, [3, 2, 3])
+    np.testing.assert_array_equal(other.columns.values, [2.0, 1.0, 1.0])
+    assert data.columns_of(ds) is cols
+    assert data.columns_of(rows).instances == tuple(rows)
 
 
 @settings(max_examples=100, deadline=None)

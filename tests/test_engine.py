@@ -8,12 +8,13 @@ agree with them to 1e-12 on scores, contributions, node updates, risk parts
 and every gradient block, for every gate source.
 """
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from l0sign import data, gates, model, train
+from l0sign import data, evaluate, gates, model, train
 from l0sign import numcore as nc
 from l0sign.gates import NOISE_EPS, NoiseStream
 from l0sign.model import ModelConfig, ModelParams
@@ -546,9 +547,9 @@ def test_pinned_trace_carries_no_edge_rows(batch, monkeypatch):
 def test_risk_at_the_chunk_budget_matches_reference(name, monkeypatch):
     tcfg, _ = risk_modes()[name]
     params = ModelParams.random(SMALL, seed=13)
-    instances = repeating_batch(seed=3, n=150, vocab=SMALL.vocab_size)
+    instances = repeating_batch(seed=3, n=160, vocab=SMALL.vocab_size)
     assert sum(model.pair_count(inst.n_nodes) for inst in instances) > 2 * model.CHUNK_SLOTS
-    assert len(list(model.chunk_layouts(instances))) > 2
+    assert len(list(model.chunk_layouts(data.columns_of(instances)))) > 2
     batch = [(3 * n + 1, inst) for n, inst in enumerate(instances)]
     want, want_grads = grads_of(params, lambda: reference_risk(batch, params, tcfg, epoch=2,
                                                                noise_seed=tcfg.seed))
@@ -631,7 +632,7 @@ def test_chunks_respect_the_slot_budget(monkeypatch):
     monkeypatch.setattr(model, "CHUNK_SLOTS", 20)
     batch = ragged_batch(seed=15, sizes=(3, 1, 5, 2, 6, 1, 4, 7, 2))  # k=6, 7 exceed 20 alone
     seen = []
-    for start, layout in model.chunk_layouts(batch):
+    for start, layout in model.chunk_layouts(data.columns_of(batch)):
         assert layout.instances == tuple(batch[start : start + len(layout.instances)])
         assert layout.slot_i.shape[0] <= 20 or len(layout.instances) == 1
         seen.extend(layout.instances)
@@ -650,6 +651,102 @@ def test_score_many_matches_per_instance_scores():
     ):
         assert_close(model.score_many(batch, params, **kwargs), [one(i) for i in batch],
                      f"score_many {sorted(kwargs)}")
+
+
+# ---------------------------------------------------------------------------
+# Columnar layouts: batched callers gather their layouts from a dataset's
+# CSR columns.
+
+def assert_same_layout(got, want):
+    for f in dataclasses.fields(model.PairLayout):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "instances":
+            assert a == b
+        else:
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+
+
+def gather_cases():
+    # ragged rows, non-unit values, and (repeating_batch) one feature id
+    # with two different values
+    rows = ragged_batch(seed=21) + repeating_batch(seed=4, n=12)
+    n = len(rows)
+    perm = np.random.default_rng(3).permutation(n)
+    return rows, {
+        "all": np.arange(n),
+        "permuted": perm,
+        "repeated": np.concatenate((perm[:5], perm[:5], [perm[7]] * 3)),
+        "tail": np.arange(n - 6, n),
+        "one-row": np.array([4]),
+    }
+
+
+@pytest.mark.parametrize("case", list(gather_cases()[1]))
+def test_gathered_layout_equals_pair_layout_of(case):
+    rows, cases = gather_cases()
+    idx = cases[case]
+    ds = data.Dataset(rows, vocab_size=SMALL.vocab_size)
+    got = model.PairLayout.gather(ds.columns, idx)
+    assert_same_layout(got, model.PairLayout.of([rows[r] for r in idx.tolist()]))
+
+
+def test_one_row_dataset_and_empty_dataset():
+    inst = data.make_instance([1, 4, 6], [0.5, 1.0, 2.5], 1)
+    one = data.Dataset([inst], vocab_size=SMALL.vocab_size)
+    assert_same_layout(model.PairLayout.gather(one.columns, np.array([0])),
+                       model.PairLayout.of((inst,)))
+    (start, layout), = model.chunk_layouts(one.columns)
+    assert start == 0 and layout.instances == (inst,)
+    params = ModelParams.random(SMALL, seed=3)
+    assert model.score_many(one, params).tobytes() == model.forward(inst, params).scores.tobytes()
+
+    empty = data.Dataset([], vocab_size=3)
+    assert list(model.chunk_layouts(empty.columns)) == []
+    with pytest.raises(ValueError, match="at least one instance"):
+        model.PairLayout.gather(empty.columns, np.arange(0))
+    i, j, counts = evaluate.pair_table(empty)
+    assert i.shape == j.shape == counts.shape == (0,)
+    assert model.score_many(empty, params).shape == (0,)
+
+
+def test_scores_and_pair_table_equal_layouts_of_each_chunk(monkeypatch):
+    """score_many and pair_table over a dataset's columns give, bit for bit,
+    what layouts built from the instance tuples of each run of at most
+    CHUNK_SLOTS pair slots give."""
+    budget = 40
+    monkeypatch.setattr(model, "CHUNK_SLOTS", budget)
+    rows = ragged_batch(seed=22) * 5 + repeating_batch(seed=5, n=20)
+    ds = data.Dataset(rows, vocab_size=SMALL.vocab_size)
+    params = ModelParams.random(SMALL, seed=8)
+    edges = every_pair_edge_set(np.random.default_rng(4), SMALL.vocab_size, 0.5)
+    runs, start = [], 0
+    while start < len(rows):  # consecutive runs within the budget, one row at least
+        stop, used = start + 1, model.pair_count(rows[start].n_nodes)
+        while stop < len(rows) and used + model.pair_count(rows[stop].n_nodes) <= budget:
+            used += model.pair_count(rows[stop].n_nodes)
+            stop += 1
+        runs.append(rows[start:stop])
+        start = stop
+    assert len(runs) > 5
+    layouts = [model.PairLayout.of(run) for run in runs]
+    for kwargs in ({}, {"binary_gates": True}, {"edges": edges}):
+        want = np.concatenate([
+            model.forward_batch(
+                lay, params, binary_gates=kwargs.get("binary_gates", False),
+                pinned_edges=None if "edges" not in kwargs
+                else model.pinned_edges(lay, model.edge_codes(edges)),
+            ).scores
+            for lay in layouts
+        ])
+        for source in (ds, rows):
+            assert model.score_many(source, params, **kwargs).tobytes() == want.tobytes()
+    assert evaluate.score_dataset(ds, params).tobytes() == model.score_many(rows, params).tobytes()
+    codes, counts = np.unique(np.concatenate([lay.pair_codes() for lay in layouts]),
+                              return_counts=True)
+    i, j, got_counts = evaluate.pair_table(ds)
+    np.testing.assert_array_equal(i * 2**31 + j, codes)
+    np.testing.assert_array_equal(got_counts, counts)
 
 
 # ---------------------------------------------------------------------------

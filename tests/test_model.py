@@ -547,6 +547,7 @@ def test_check_vocabulary_names_the_offending_id():
     too_big = data.Dataset([data.make_instance([1, 9], [1.0, 1.0], 1)], vocab_size=10)
     with pytest.raises(ValueError, match="feature id 9.* 5 features"):
         model.check_vocabulary(params, too_big)
+    model.check_vocabulary(params, data.Dataset([], vocab_size=3))  # no id to check
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from l0sign import data, gates, model, train
 from l0sign import numcore as nc
 from l0sign.model import ModelConfig, ModelParams
+from l0sign.gates import NoiseStream
 from l0sign.train import Adagrad, EpochRecord, TrainConfig
 
 
@@ -295,6 +296,37 @@ def test_fit_rejects_single_class_validation_split_before_training(monkeypatch):
         train.fit(tr, ones, SMALL, TrainConfig(epochs=1, seed=0))
     with pytest.raises(ValueError, match="empty"):
         train.fit(tr, data.Dataset([], va.vocab_size), SMALL, TrainConfig(epochs=1, seed=0))
+
+
+@pytest.mark.parametrize("mode", ["l0sign", "sign-fixed"])
+def test_risk_over_dataset_rows_equals_risk_over_those_instances(mode, monkeypatch):
+    monkeypatch.setattr(model, "CHUNK_SLOTS", 40)  # many chunks
+    ds = small_dataset(n=120)
+    rows = np.random.default_rng(3).permutation(len(ds))[:50]
+    rows = np.concatenate((rows, rows[:7]))  # fit never repeats a row, but risk allows it
+    tcfg = TrainConfig(seed=5, mode=mode, lambda1=0.05, lambda2=0.02,
+                       fixed_edges=frozenset({(0, 1), (2, 2), (3, 7)}))
+    params = ModelParams.random(SMALL, seed=6)
+    counts = ds.columns.counts[rows]
+    u = NoiseStream(5).uniforms(2, rows, counts * (counts + 1) // 2)
+    results = []
+    for batch, kwargs in ((ds, {"rows": rows}), ([ds.instances[r] for r in rows], {})):
+        params.store.zero_grads()
+        sink = []
+        parts = train.risk(batch, params, tcfg, noise=u, node_update_sink=sink, **kwargs)
+        results.append((parts, params.store.grads(), sink))
+    (got, got_grads, got_sink), (want, want_grads, want_sink) = results
+    assert got == want
+    for name in model.PARAM_ORDER:
+        assert got_grads[name].tobytes() == want_grads[name].tobytes()
+    assert all(a[1].tobytes() == b[1].tobytes() for a, b in zip(got_sink, want_sink))
+
+
+def test_fit_rejects_empty_training_split_before_any_work(monkeypatch):
+    _, va, _ = data.split(small_dataset(n=200), data.SplitSpec(seed=0))
+    monkeypatch.setattr(train, "_validate", lambda *a, **k: pytest.fail("fit validated first"))
+    with pytest.raises(ValueError, match="^the training split is empty$"):
+        train.fit(data.Dataset([], va.vocab_size), va, SMALL, TrainConfig(epochs=1, seed=0))
 
 
 def test_literal_embedding_update_overwrites_table():
