@@ -16,9 +16,11 @@ pair-slot layout of many instances (`PairLayout`). A slot's gate location
 depends only on its feature pair and its interaction vector only on the
 two features and their values, so each MLP is one matmul over the distinct
 rows of the layout, gathered back to the slots; gate noise, the gated
-aggregation and the penalties stay per slot, and node and instance
-reductions are segment sums. The per-instance `forward` is its batch of
-one.
+aggregation and the penalties stay per slot. The instances of a layout
+are grouped by node count: within a group of k-node instances, slots reach
+their nodes through one matmul with the (k x k(k+1)/2) incidence matrix
+of a k-node instance, and back through its transpose. The per-instance
+`forward` is its batch of one.
 """
 
 from __future__ import annotations
@@ -192,16 +194,18 @@ def pair_count(k: int) -> int:
     return k * (k + 1) // 2
 
 
-@lru_cache(maxsize=16)
-def _pair_tables(k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row k holds pair_slots(k) in its first pair_count(k) columns."""
-    ti = np.zeros((k_max + 1, pair_count(k_max)), dtype=np.int64)
-    tj = np.zeros_like(ti)
-    for k in range(1, k_max + 1):
-        pi, pj = pair_slots(k)
-        ti[k, : pi.shape[0]] = pi
-        tj[k, : pj.shape[0]] = pj
-    return ti, tj
+@lru_cache(maxsize=256)
+def _incidence(k: int) -> np.ndarray:
+    """(k, pair_count(k)) matrix M_k of one instance of k nodes: entry
+    (n, p) is 1 when node n is an end of slot p (a self-pair slot counts
+    its node once) and 0 otherwise."""
+    pi, pj = pair_slots(k)
+    m = np.zeros((k, pi.shape[0]))
+    slots = np.arange(pi.shape[0])
+    m[pi, slots] = 1.0
+    m[pj, slots] = 1.0
+    m.setflags(write=False)
+    return m
 
 
 _PAIR_CODE_BASE = 2**31  # pair codes hold feature ids below this, in int64
@@ -212,13 +216,13 @@ _PAIR_CODE_BASE = 2**31  # pair codes hold feature ids below this, in int64
 # per-pass cost (layout, unique passes, Python overhead) over more slots;
 # where they do not (uniform Frappe-shaped draws: 90% of slots distinct),
 # rows and memory still grow with the chunk. Measured on 2 CPUs, numpy
-# 2.4.6, one BLAS thread, layouts gathered from dataset columns:
-# `train.risk` on one 1024-row minibatch of the acceptance shape took
-# about 24 ms at 1024 slots, 18 ms at 2048 and 15 ms at 4096; of the
-# Frappe shape 98, 86 and 86 ms. In 8 s benchmark runs, peak RSS against
-# 1024 slots grew by 3.7% (train-planted), 2.9% (retrain-pinned) and 4.6%
-# (infer-frappe) at 2048, but by 7.9%, 6.7% and 12.5% at 4096 (the
-# benchmark's bound is 10%).
+# 2.4.6, one BLAS thread, layouts gathered from dataset columns and
+# aggregated by node-count buckets: `train.risk` on one 1024-row
+# minibatch of the acceptance shape took about 20 ms at 1024 slots, 14 ms
+# at 2048 and 12 ms at 4096; of the Frappe shape 93, 81 and 78 ms. In 8 s
+# benchmark runs, peak RSS against 1024 slots grew by 1.6%
+# (train-planted), 0.9% (retrain-pinned) and 3.8% (infer-frappe) at 2048,
+# but by 5.1%, 3.4% and 14.2% at 4096 (the benchmark's bound is 10%).
 CHUNK_SLOTS = 2048
 
 
@@ -239,6 +243,40 @@ class PairRows(NamedTuple):
     edge_row_of: np.ndarray | None  # (S,)
 
 
+class Bucket(NamedTuple):
+    """The instances of a layout that have k nodes, by their positions in
+    the layout's instance, node and slot arrays, instance after instance.
+    Node and slot arrays read through a bucket reshape to (instances, k)
+    and (instances, pair_count(k)) blocks. When every instance of the
+    layout has k nodes the positions are plain slices, so those reshapes
+    are views; otherwise they are index arrays."""
+
+    k: int
+    instances: slice | np.ndarray
+    nodes: slice | np.ndarray
+    slots: slice | np.ndarray
+
+
+def _buckets(counts: np.ndarray) -> tuple[Bucket, ...]:
+    """Node-count buckets of a layout with `counts` nodes per instance, in
+    increasing k."""
+    if counts.min() == counts.max():
+        k, n = int(counts[0]), counts.shape[0]
+        return (Bucket(k, slice(0, n), slice(0, n * k), slice(0, n * pair_count(k))),)
+    slot_counts = counts * (counts + 1) // 2
+    first_node = np.cumsum(counts) - counts
+    first_slot = np.cumsum(slot_counts) - slot_counts
+    buckets = []
+    for k in np.unique(counts).tolist():
+        inst = np.flatnonzero(counts == k)
+        buckets.append(Bucket(
+            k, inst,
+            (first_node[inst, None] + np.arange(k)).ravel(),
+            (first_slot[inst, None] + np.arange(pair_count(k))).ravel(),
+        ))
+    return tuple(buckets)
+
+
 @dataclass(frozen=True, eq=False)
 class PairLayout:
     """Flat pair-slot layout of a batch of instances.
@@ -246,8 +284,10 @@ class PairLayout:
     Nodes of all instances are concatenated; every unordered node pair of
     an instance (self-pairs included, lexicographic order within the
     instance) is one slot that addresses two global node indices
-    `slot_i <= slot_j`. Node and instance reductions are segment sums over
-    `node_instance` / `slot_instance` and the gather lists below;
+    `slot_i <= slot_j`. The instances are grouped by node count into
+    `buckets`; within a bucket of k nodes, the reductions from slots to
+    nodes and back are one matmul with the incidence matrix M_k, and an
+    instance's score is the mean of its block of node readouts.
     `distinct_rows` finds the layout's distinct MLP inputs. Batched callers
     gather their layouts from a dataset's columns (`gather`); `of` reads
     the columns of the instances it is given, one instance through a
@@ -258,16 +298,9 @@ class PairLayout:
     ids: np.ndarray  # (N,) feature id of each node
     values: np.ndarray  # (N,) feature value of each node
     counts: np.ndarray  # (B,) nodes per instance
-    node_instance: np.ndarray  # (N,)
-    slot_instance: np.ndarray  # (S,)
     slot_i: np.ndarray  # (S,)
     slot_j: np.ndarray  # (S,)
-    offdiag: np.ndarray  # (S,) slot_i != slot_j
-    # the gated aggregation: every slot enters its first end, off-diagonal
-    # slots also their second end; term t adds slot gather_sources[t] into
-    # node gather_targets[t]
-    gather_targets: np.ndarray
-    gather_sources: np.ndarray
+    buckets: tuple[Bucket, ...]
 
     @classmethod
     def of(cls, instances: Iterable[Instance]) -> "PairLayout":
@@ -284,46 +317,31 @@ class PairLayout:
         if rows.shape[0] == 0:
             raise ValueError("a pair layout needs at least one instance")
         counts = columns.counts[rows]
-        slot_counts = counts * (counts + 1) // 2
-        batch = np.arange(rows.shape[0])
-        slot_instance = np.repeat(batch, slot_counts)
-        node_instance = np.repeat(batch, counts)
-        # slot s is local pair number `local` of its instance, whose nodes
-        # start at `offset` in the concatenated node arrays
-        first_slot = np.cumsum(slot_counts) - slot_counts
-        local = np.arange(slot_instance.shape[0]) - first_slot[slot_instance]
         first_node = np.cumsum(counts) - counts
-        offset = first_node[slot_instance]
-        ti, tj = _pair_tables(int(counts.max()))
-        k_of_slot = counts[slot_instance]
-        slot_i = ti[k_of_slot, local] + offset
-        slot_j = tj[k_of_slot, local] + offset
-        # node n of the layout is node n + shift[its instance] of the columns
-        shift = columns.offsets[rows] - first_node
-        source = np.arange(node_instance.shape[0]) + shift[node_instance]
+        buckets = _buckets(counts)
+        slot_i = np.empty(int(counts @ (counts + 1)) // 2, dtype=np.int64)
+        slot_j = np.empty_like(slot_i)
+        for b in buckets:
+            pi, pj = pair_slots(b.k)
+            start = first_node[b.instances, None]
+            slot_i[b.slots] = (start + pi).ravel()
+            slot_j[b.slots] = (start + pj).ravel()
+        # node n of the layout is node n + shift of its instance in the columns
+        shift = np.repeat(columns.offsets[rows] - first_node, counts)
+        source = np.arange(shift.shape[0]) + shift
         return cls(
             tuple(map(columns.instances.__getitem__, rows.tolist())),
             columns.ids[source],
             columns.values[source],
             counts,
-            node_instance,
-            slot_instance,
             slot_i,
             slot_j,
-            *_gather_lists(slot_i, slot_j),
+            buckets,
         )
 
     def pair_codes(self) -> np.ndarray:
         """Code ids[i] * 2**31 + ids[j] of each slot's feature pair."""
         return self.ids[self.slot_i] * _PAIR_CODE_BASE + self.ids[self.slot_j]
-
-
-def _gather_lists(slot_i: np.ndarray, slot_j: np.ndarray):
-    """(offdiag, gather_targets, gather_sources) of PairLayout."""
-    off = slot_i != slot_j
-    targets = np.concatenate((slot_i, slot_j[off]))
-    sources = np.concatenate((np.arange(slot_i.shape[0]), np.flatnonzero(off)))
-    return off, targets, sources
 
 
 def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,15 +389,10 @@ def distinct_rows(layout: PairLayout, edges: bool = True) -> PairRows:
 @lru_cache(maxsize=256)
 def _single_layout(k: int) -> tuple:
     """PairLayout fields after (ids, values) for one instance of k nodes."""
+    counts = np.array([k])
+    counts.setflags(write=False)
     slot_i, slot_j = pair_slots(k)
-    off, targets, sources = _gather_lists(slot_i, slot_j)
-    fields = (
-        np.array([k]), np.zeros(k, dtype=np.int64), np.zeros(slot_i.shape[0], dtype=np.int64),
-        slot_i, slot_j, off, targets, sources,
-    )
-    for arr in fields:
-        arr.setflags(write=False)
-    return fields
+    return counts, slot_i, slot_j, _buckets(counts)
 
 
 @lru_cache(maxsize=256)
@@ -480,6 +493,33 @@ def _to_rows(slot_values: np.ndarray, row_of: np.ndarray, n_rows: int) -> np.nda
     return _segment_sum(slot_values, row_of, n_rows)
 
 
+# Between the slots of a layout and its nodes, one incidence matmul per
+# node-count bucket.
+
+def _slots_to_nodes(layout: PairLayout, slot_values: np.ndarray) -> np.ndarray:
+    """Per-slot values, (S,) or (S, d), summed into the end nodes of their
+    slots: M_k times each instance's block."""
+    tail = slot_values.shape[1:]
+    out = np.empty(layout.ids.shape + tail)
+    for b in layout.buckets:
+        m = _incidence(b.k)
+        block = slot_values[b.slots].reshape(-1, m.shape[1], *tail)
+        out[b.nodes] = (m @ block if tail else block @ m.T).reshape(-1, *tail)
+    return out
+
+
+def _nodes_to_slots(layout: PairLayout, node_values: np.ndarray) -> np.ndarray:
+    """Per-node values, (N,) or (N, d), summed over the end nodes of each
+    slot: M_k transposed times each instance's block."""
+    tail = node_values.shape[1:]
+    out = np.empty(layout.slot_i.shape + tail)
+    for b in layout.buckets:
+        m = _incidence(b.k)
+        block = node_values[b.nodes].reshape(-1, b.k, *tail)
+        out[b.slots] = (m.T @ block if tail else block @ m).reshape(-1, *tail)
+    return out
+
+
 def _mlp(side: str, vi: np.ndarray, vj: np.ndarray, params: ModelParams):
     """(product, hidden pre-activation, hidden activation, output) of the
     two-layer MLP over the elementwise product of rows of embedding pairs.
@@ -530,18 +570,15 @@ def _aggregate(
     (soft-degree denominator, floored at DEGREE_EPS), is rescaled by its
     value and read out, and each instance's score is the mean of its node
     readouts."""
-    n_nodes = layout.ids.shape[0]
-    # each slot enters its first end, off-diagonal slots also their second
-    targets, sources = layout.gather_targets, layout.gather_sources
-    gated = edge_values[:, None] * interactions
-    node_sum = _segment_sum(gated[sources], targets, n_nodes)
-    soft_degree = _segment_sum(edge_values[sources], targets, n_nodes)
+    node_sum = _slots_to_nodes(layout, edge_values[:, None] * interactions)
+    soft_degree = _slots_to_nodes(layout, edge_values)
     denom = np.maximum(soft_degree, DEGREE_EPS)
     node_update = node_sum / denom[:, None]
     scaled = layout.values[:, None] * node_update
     node_readout = nc.linear(params.value("readout")[None, :], scaled, np.zeros(1))[:, 0]
-    n_instances = layout.counts.shape[0]
-    scores = _segment_sum(node_readout, layout.node_instance, n_instances) / layout.counts
+    scores = np.empty(layout.counts.shape[0])
+    for b in layout.buckets:
+        scores[b.instances] = node_readout[b.nodes].reshape(-1, b.k).sum(axis=1) / b.k
     return dict(node_sum=node_sum, soft_degree=soft_degree, denom=denom,
                 node_update=node_update, node_readout=node_readout, scores=scores)
 
@@ -710,11 +747,11 @@ def backward(
     store = params.store
     lay = trace.layout
     ids, x = lay.ids, lay.values
-    gi, gj, off = lay.slot_i, lay.slot_j, lay.offdiag
+    vocab = params.config.vocab_size
     rows = trace.rows
 
     # score = mean of its node readouts; readout row r_i = readout . (x_i v'_i)
-    g_node_readout = (np.asarray(d_score, dtype=np.float64) / lay.counts)[lay.node_instance]
+    g_node_readout = np.repeat(np.asarray(d_score, dtype=np.float64) / lay.counts, lay.counts)
     scaled = x[:, None] * trace.node_update
     g_w, g_scaled, _ = nc.linear_backward(
         params.value("readout")[None, :], scaled, g_node_readout[:, None]
@@ -727,10 +764,11 @@ def backward(
     g_denom = -(g_node_update * trace.node_sum).sum(axis=1) / trace.denom**2
     g_soft_degree = np.where(trace.soft_degree > DEGREE_EPS, g_denom, 0.0)
 
-    # node_sum gathers gated interactions into both endpoint nodes
-    g_gated = g_node_sum[gi] + np.where(off[:, None], g_node_sum[gj], 0.0)
+    # node_sum and soft_degree sum gated interactions and gates into both
+    # end nodes of each slot
+    g_gated = _nodes_to_slots(lay, g_node_sum)
     g_edge_values = (g_gated * trace.interactions).sum(axis=1)
-    g_edge_values += g_soft_degree[gi] + np.where(off, g_soft_degree[gj], 0.0)
+    g_edge_values += _nodes_to_slots(lay, g_soft_degree)
     g_interactions = trace.edge_values[:, None] * g_gated
     if d_interactions is not None:
         g_interactions = g_interactions + d_interactions
@@ -741,7 +779,7 @@ def backward(
         _to_rows(g_interactions, rows.pair_row_of, trace.pair_act.shape[0]),
         trace.node_vecs, rows.pair_i, rows.pair_j, params,
     )
-    np.add.at(store.grad("node_embed"), ids, x[:, None] * g_node_vecs)
+    store.accumulate("node_embed", _segment_sum(x[:, None] * g_node_vecs, ids, vocab))
 
     # edge side (absent for pinned gates)
     if trace.mode == "pinned":
@@ -759,7 +797,7 @@ def backward(
         "edge", trace.edge_prod, trace.edge_pre, trace.edge_act, g_logits[:, None],
         trace.edge_vecs, rows.edge_i, rows.edge_j, params,
     )
-    np.add.at(store.grad("edge_embed"), ids, g_edge_vecs)
+    store.accumulate("edge_embed", _segment_sum(g_edge_vecs, ids, vocab))
 
 def score_many(
     instances: Dataset | Sequence[Instance],
@@ -807,11 +845,12 @@ def _contributions(trace: Forward, params: ModelParams) -> np.ndarray:
     its slots' shares exactly (the readout is linear and each slot enters
     both endpoint node averages)."""
     lay = trace.layout
-    gi, gj, off = lay.slot_i, lay.slot_j, lay.offdiag
-    weight_per_node = lay.values / trace.denom
-    slot_weight = weight_per_node[gi] + np.where(off, weight_per_node[gj], 0.0)
+    slot_weight = _nodes_to_slots(lay, lay.values / trace.denom)
     readout_of_z = trace.interactions @ params.value("readout")
-    return trace.edge_values * readout_of_z * slot_weight / lay.counts[lay.slot_instance]
+    shares = trace.edge_values * readout_of_z * slot_weight
+    for b in lay.buckets:  # a score is the mean of its instance's k node readouts
+        shares[b.slots] /= b.k
+    return shares
 
 
 def slot_columns(

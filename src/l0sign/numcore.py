@@ -67,7 +67,9 @@ def linear(weights: Matrix, x: Matrix, bias: Vector) -> Matrix:
     if w.shape[1] != x.shape[1]:
         raise ShapeError(f"weights {w.shape} incompatible with input rows {x.shape}")
     _count(w.size * x.shape[0])
-    return x @ w.T + b
+    out = x @ w.T
+    out += b
+    return out
 
 
 def elementwise_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -307,9 +307,10 @@ def test_engine_matches_reference_loop(source):
         np.concatenate([reference_contributions(r, params) for r in refs]),
         "contributions",
     )
-    for b, r in enumerate(refs):  # contributions still add up per instance
-        lo, hi = trace.layout.slot_instance.searchsorted([b, b + 1])
-        assert model._contributions(trace, params)[lo:hi].sum() == pytest.approx(r.score, abs=1e-12)
+    bounds = np.cumsum([r.edge_values.shape[0] for r in refs])[:-1]
+    per_instance = np.split(model._contributions(trace, params), bounds)
+    for r, shares in zip(refs, per_instance):  # contributions still add up per instance
+        assert shares.sum() == pytest.approx(r.score, abs=1e-12)
 
     if source == "binary":
         with pytest.raises(ValueError, match="evaluation-only"):
@@ -357,8 +358,12 @@ def test_layout_of_a_batch_concatenates_single_layouts():
         np.testing.assert_array_equal(layout.slot_j[slot_start : slot_start + p],
                                       one.slot_j + node_start)
         np.testing.assert_array_equal(layout.ids[node_start : node_start + k], inst.node_array)
-        assert np.all(layout.slot_instance[slot_start : slot_start + p] == b)
-        assert np.all(layout.node_instance[node_start : node_start + k] == b)
+        bucket, = (bk for bk in layout.buckets if bk.k == k)
+        n = bucket.instances.tolist().index(b)  # b's block in its node-count bucket
+        np.testing.assert_array_equal(bucket.nodes[n * k : (n + 1) * k],
+                                      np.arange(node_start, node_start + k))
+        np.testing.assert_array_equal(bucket.slots[n * p : (n + 1) * p],
+                                      np.arange(slot_start, slot_start + p))
         node_start += k
         slot_start += p
     assert slot_start == layout.slot_i.shape[0]
@@ -562,6 +567,40 @@ def test_risk_at_the_chunk_budget_matches_reference(name, monkeypatch):
             assert_close(got_grads[block], want_grads[block], f"{block}, budget {budget}")
 
 
+def test_engine_matches_reference_on_uniform_and_mixed_chunks(monkeypatch):
+    """One risk call whose first chunk holds a single node count (one
+    bucket of slices) and whose second mixes three (buckets of index
+    arrays)."""
+    monkeypatch.setattr(model, "CHUNK_SLOTS", 28)
+    instances = ragged_batch(seed=23, sizes=(3, 3, 3, 3, 5, 2, 4))
+    chunks = list(model.chunk_layouts(data.columns_of(instances)))
+    assert [start for start, _ in chunks] == [0, 4]
+    (_, uniform), (_, mixed) = chunks
+    assert [b.k for b in uniform.buckets] == [3]
+    assert all(isinstance(part, slice) for part in uniform.buckets[0][1:])
+    assert [b.k for b in mixed.buckets] == [2, 4, 5]
+    assert not any(isinstance(part, slice) for b in mixed.buckets for part in b[1:])
+
+    params = ModelParams.random(SMALL, seed=14)
+    for _, layout in chunks:
+        trace = model.forward_batch(layout, params)
+        refs = [reference_forward(inst, params) for inst in layout.instances]
+        assert_close(trace.scores, [r.score for r in refs], "scores")
+        assert_close(model._contributions(trace, params),
+                     np.concatenate([reference_contributions(r, params) for r in refs]),
+                     "contributions")
+
+    tcfg, _ = risk_modes()["l0sign-noise"]
+    batch = list(enumerate(instances))
+    want, want_grads = grads_of(params, lambda: reference_risk(batch, params, tcfg, epoch=1,
+                                                               noise_seed=tcfg.seed))
+    got, got_grads = grads_of(params, lambda: engine_risk(batch, params, tcfg, epoch=1,
+                                                          noise_seed=tcfg.seed))
+    assert_close([got.total, got.loss, got.l0, got.l2], want, "risk parts")
+    for block in model.PARAM_ORDER:
+        assert_close(got_grads[block], want_grads[block], block)
+
+
 # ---------------------------------------------------------------------------
 # Risk: every mode, chunking, and the literal update's sink.
 
@@ -662,6 +701,13 @@ def assert_same_layout(got, want):
         a, b = getattr(got, f.name), getattr(want, f.name)
         if f.name == "instances":
             assert a == b
+        elif f.name == "buckets":
+            assert [bk.k for bk in a] == [bk.k for bk in b]
+            for x, y in zip(a, b):
+                for part in ("instances", "nodes", "slots"):
+                    p, q = getattr(x, part), getattr(y, part)
+                    assert type(p) is type(q), part
+                    assert p == q if isinstance(p, slice) else np.array_equal(p, q), part
         else:
             assert a.dtype == b.dtype, f.name
             np.testing.assert_array_equal(a, b, err_msg=f.name)

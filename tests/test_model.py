@@ -78,11 +78,17 @@ def test_edges_for_instance_membership():
     assert got.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
 
-def test_layout_offdiag_excludes_self_pairs():
-    inst = data.make_instance([0, 3, 4], [1.0, 1.0, 1.0], 0)
-    layout = model.PairLayout.of((inst,))
-    assert layout.slot_i.shape == (model.pair_count(3),)
-    assert layout.offdiag.astype(float).tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_incidence_marks_both_ends_of_each_slot(k):
+    m = model._incidence(k)
+    pi, pj = model.pair_slots(k)
+    assert m.shape == (k, model.pair_count(k))
+    assert set(np.unique(m).tolist()) <= {0.0, 1.0}
+    slots = np.arange(pi.shape[0])
+    assert np.all(m[pi, slots] == 1.0) and np.all(m[pj, slots] == 1.0)
+    # an off-diagonal slot has two ends, a self-pair slot one
+    np.testing.assert_array_equal(m.sum(axis=0), np.where(pi == pj, 1.0, 2.0))
+    np.testing.assert_array_equal(m.sum(axis=1), np.full(k, float(k)))
 
 
 # ---------------------------------------------------------------------------
