@@ -102,10 +102,9 @@ class PlantedPairs:
 @dataclass(frozen=True, eq=False)
 class Columns:
     """Rows of instances in CSR form (compressed sparse rows): row r holds
-    the `counts[r]` nodes of `ids` and `values` that start at `offsets[r]`.
-    `instances` are the row objects the columns were read from."""
+    the `counts[r]` nodes of `ids` and `values` that start at `offsets[r]`,
+    and label `labels[r]`."""
 
-    instances: tuple[Instance, ...]
     counts: np.ndarray  # (B,) nodes per row
     offsets: np.ndarray  # (B,) position of each row's first node
     ids: np.ndarray  # (N,) feature id of each node
@@ -123,7 +122,6 @@ def columns_of(source: Dataset | Sequence[Instance]) -> Columns:
     counts = np.fromiter((len(inst.nodes) for inst in instances), np.int64, n)
     n_nodes = int(counts.sum())
     return Columns(
-        instances,
         counts,
         np.cumsum(counts) - counts,
         np.fromiter(chain.from_iterable(inst.nodes for inst in instances), np.int64, n_nodes),
@@ -160,10 +158,10 @@ class Dataset:
 
     @cached_property
     def columns(self) -> Columns:
-        """The instances in CSR form, read on first use: the batched engine
-        callers (training, validation, scoring, pair tables) gather their
-        layouts from these. Datasets that are only split, saved or
-        explained never build them."""
+        """The instances as arrays in CSR form, read on first use: the
+        batched engine callers (training, validation, scoring, pair tables)
+        gather their layouts from these. Datasets that are only split,
+        saved or explained never build them."""
         return columns_of(self.instances)
 
 

@@ -39,15 +39,15 @@ def auc(labels, scores) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: labels contain a single class")
     order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(y.size, dtype=np.float64)
-    ranks[order] = np.arange(1, y.size + 1)
     sorted_scores = s[order]
-    start = 0
-    for stop in range(1, y.size + 1):
-        if stop == y.size or sorted_scores[stop] != sorted_scores[start]:
-            if stop - start > 1:  # midrank for the tie block
-                ranks[order[start:stop]] = 0.5 * (start + 1 + stop)
-            start = stop
+    # tie blocks of the sorted scores; block [first, stop) gets the midrank
+    # of ranks first + 1 .. stop (NaN equals nothing, so each NaN is a block)
+    new = np.ones(y.size, dtype=bool)
+    new[1:] = sorted_scores[1:] != sorted_scores[:-1]
+    first = np.flatnonzero(new)
+    stop = np.append(first[1:], y.size)
+    ranks = np.empty(y.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + 1 + stop), stop - first)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

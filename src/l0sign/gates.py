@@ -48,11 +48,11 @@ DEFAULT_GATE = GateConfig()
 
 @dataclass(frozen=True)
 class GateBatch:
-    """Vectorized gate draws for one instance's pair slots."""
+    """Gate values of a batch of pair slots and their stretched values
+    before the clamp, which the gradient reads."""
 
     value: np.ndarray
     pre_clamp: np.ndarray
-    noise: np.ndarray | None  # None for the deterministic estimator
 
 
 def _clamped(s: np.ndarray, config: GateConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +72,7 @@ def sample_array(log_alpha: np.ndarray, u: np.ndarray, config: GateConfig = DEFA
         raise ValueError("gate noise must lie strictly inside (0, 1)")
     s = nc.sigmoid((np.log(u) - np.log1p(-u) + log_alpha) / config.temperature)
     pre, value = _clamped(s, config)
-    return GateBatch(value=value, pre_clamp=pre, noise=u)
+    return GateBatch(value=value, pre_clamp=pre)
 
 
 def eval_deterministic(log_alpha, config: GateConfig = DEFAULT_GATE):
@@ -84,7 +84,7 @@ def eval_deterministic(log_alpha, config: GateConfig = DEFAULT_GATE):
 
 def deterministic_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> GateBatch:
     pre, value = _clamped(nc.sigmoid(np.asarray(log_alpha, dtype=np.float64)), config)
-    return GateBatch(value=value, pre_clamp=pre, noise=None)
+    return GateBatch(value=value, pre_clamp=pre)
 
 
 def binary_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> GateBatch:
@@ -94,7 +94,7 @@ def binary_batch(log_alpha: np.ndarray, config: GateConfig = DEFAULT_GATE) -> Ga
     has no useful gradient, so training never uses it.
     """
     pre, _ = _clamped(nc.sigmoid(np.asarray(log_alpha, dtype=np.float64)), config)
-    return GateBatch(value=(pre > 0.0).astype(np.float64), pre_clamp=pre, noise=None)
+    return GateBatch(value=(pre > 0.0).astype(np.float64), pre_clamp=pre)
 
 
 def open_probability(log_alpha, config: GateConfig = DEFAULT_GATE):

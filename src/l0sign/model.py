@@ -16,17 +16,19 @@ pair-slot layout of many instances (`PairLayout`). A slot's gate location
 depends only on its feature pair and its interaction vector only on the
 two features and their values, so each MLP is one matmul over the distinct
 rows of the layout, gathered back to the slots; gate noise, the gated
-aggregation and the penalties stay per slot. The instances of a layout
-are grouped by node count: within a group of k-node instances, slots reach
-their nodes through one matmul with the (k x k(k+1)/2) incidence matrix
-of a k-node instance, and back through its transpose. The per-instance
-`forward` is its batch of one.
+aggregation and the penalties stay per slot. A layout holds arrays only
+(node ids and values, node counts, the two end nodes of each slot);
+batched callers gather it from a dataset's columns. The instances of a
+layout are grouped by node count: within a group of k-node instances,
+slots reach their nodes through one matmul with the (k x pair_count(k))
+incidence matrix of a k-node instance, and back through its transpose.
+The per-instance `forward` is its batch of one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -68,17 +70,7 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "edge_dim": self.edge_dim,
-            "interaction_dim": self.interaction_dim,
-            "hidden_dim": self.hidden_dim,
-            "gate": {
-                "temperature": self.gate.temperature,
-                "stretch_low": self.gate.stretch_low,
-                "stretch_high": self.gate.stretch_high,
-            },
-        }
+        return asdict(self)
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Shape of each parameter block, in PARAM_ORDER."""
@@ -183,14 +175,16 @@ class ModelParams:
 @lru_cache(maxsize=256)
 def pair_slots(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Slot index arrays (i, j) for all unordered pairs with i <= j, in
-    lexicographic order; self-pairs included. k nodes give k(k+1)/2 slots."""
+    lexicographic order; self-pairs included: pair_count(k) slots."""
     pi, pj = np.triu_indices(k)
     pi.setflags(write=False)
     pj.setflags(write=False)
     return pi, pj
 
 
-def pair_count(k: int) -> int:
+def pair_count(k):
+    """Pair slots of an instance of k nodes, k(k+1)/2; elementwise for an
+    array of node counts."""
     return k * (k + 1) // 2
 
 
@@ -263,7 +257,7 @@ def _buckets(counts: np.ndarray) -> tuple[Bucket, ...]:
     if counts.min() == counts.max():
         k, n = int(counts[0]), counts.shape[0]
         return (Bucket(k, slice(0, n), slice(0, n * k), slice(0, n * pair_count(k))),)
-    slot_counts = counts * (counts + 1) // 2
+    slot_counts = pair_count(counts)
     first_node = np.cumsum(counts) - counts
     first_slot = np.cumsum(slot_counts) - slot_counts
     buckets = []
@@ -290,11 +284,11 @@ class PairLayout:
     instance's score is the mean of its block of node readouts.
     `distinct_rows` finds the layout's distinct MLP inputs. Batched callers
     gather their layouts from a dataset's columns (`gather`); `of` reads
-    the columns of the instances it is given, one instance through a
-    cached pattern.
+    the columns of the instances it is given. A layout of one instance
+    takes its node ids and values as they are and the rest from a cached
+    pattern (`_single_layout`).
     """
 
-    instances: tuple[Instance, ...]
     ids: np.ndarray  # (N,) feature id of each node
     values: np.ndarray  # (N,) feature value of each node
     counts: np.ndarray  # (B,) nodes per instance
@@ -307,7 +301,7 @@ class PairLayout:
         instances = tuple(instances)
         if len(instances) == 1:
             inst = instances[0]
-            return cls(instances, inst.node_array, inst.value_array, *_single_layout(inst.n_nodes))
+            return cls(inst.node_array, inst.value_array, *_single_layout(inst.n_nodes))
         return cls.gather(columns_of(instances), np.arange(len(instances)))
 
     @classmethod
@@ -316,10 +310,14 @@ class PairLayout:
         repeat), read from the columns with numpy gathers."""
         if rows.shape[0] == 0:
             raise ValueError("a pair layout needs at least one instance")
+        if rows.shape[0] == 1:
+            k, start = int(columns.counts[rows[0]]), int(columns.offsets[rows[0]])
+            return cls(columns.ids[start : start + k], columns.values[start : start + k],
+                       *_single_layout(k))
         counts = columns.counts[rows]
         first_node = np.cumsum(counts) - counts
         buckets = _buckets(counts)
-        slot_i = np.empty(int(counts @ (counts + 1)) // 2, dtype=np.int64)
+        slot_i = np.empty(int(pair_count(counts).sum()), dtype=np.int64)
         slot_j = np.empty_like(slot_i)
         for b in buckets:
             pi, pj = pair_slots(b.k)
@@ -330,7 +328,6 @@ class PairLayout:
         shift = np.repeat(columns.offsets[rows] - first_node, counts)
         source = np.arange(shift.shape[0]) + shift
         return cls(
-            tuple(map(columns.instances.__getitem__, rows.tolist())),
             columns.ids[source],
             columns.values[source],
             counts,
@@ -413,13 +410,7 @@ def chunk_layouts(
     if rows is None:
         rows = np.arange(columns.counts.shape[0])
     n = rows.shape[0]
-    if n == 0:
-        return
-    if n == 1:  # one run, without the budget search (one-instance risk calls)
-        yield 0, PairLayout.of((columns.instances[rows[0]],))
-        return
-    ks = columns.counts[rows]
-    ends = np.cumsum(ks * (ks + 1) // 2)
+    ends = np.cumsum(pair_count(columns.counts[rows]))
     start = 0
     while start < n:
         used = ends[start - 1] if start else 0
@@ -580,7 +571,7 @@ def _aggregate(
     for b in layout.buckets:
         scores[b.instances] = node_readout[b.nodes].reshape(-1, b.k).sum(axis=1) / b.k
     return dict(node_sum=node_sum, soft_degree=soft_degree, denom=denom,
-                node_update=node_update, node_readout=node_readout, scores=scores)
+                node_update=node_update, scores=scores)
 
 
 @dataclass
@@ -610,23 +601,13 @@ class Forward:
     soft_degree: np.ndarray  # (N,)
     denom: np.ndarray  # (N,) max(soft_degree, DEGREE_EPS)
     node_update: np.ndarray  # (N, d) v'_i
-    node_readout: np.ndarray  # (N,)
     scores: np.ndarray  # (B,)
-
-    def _single(self) -> None:
-        if len(self.layout.instances) != 1:
-            raise ValueError(
-                f"trace covers {len(self.layout.instances)} instances; use its arrays"
-            )
-
-    @property
-    def instance(self) -> Instance:
-        self._single()
-        return self.layout.instances[0]
 
     @property
     def score(self) -> float:
-        self._single()
+        """The score of a trace of one instance."""
+        if self.scores.shape[0] != 1:
+            raise ValueError(f"trace covers {self.scores.shape[0]} instances; use its arrays")
         return float(self.scores[0])
 
 

@@ -112,8 +112,7 @@ def risk(
     if rows.shape[0] == 0:
         raise ValueError("risk over an empty batch")
     if noise is not None:
-        ks = columns.counts[rows]
-        n_slots = int(ks @ (ks + 1)) // 2
+        n_slots = int(model_mod.pair_count(columns.counts[rows]).sum())
         if noise.shape != (n_slots,):
             raise nc.ShapeError(f"noise shape {noise.shape}, the batch has {n_slots} pair slots")
     signed_labels = 2.0 * columns.labels[rows] - 1.0
@@ -283,8 +282,7 @@ def fit(
     )
     noise = NoiseStream(tcfg.seed)
     n = len(train_ds)
-    node_counts = train_ds.columns.counts
-    slot_counts = node_counts * (node_counts + 1) // 2
+    slot_counts = model_mod.pair_count(train_ds.columns.counts)
     records: list[EpochRecord] = []
     best_steady: tuple[float, int, ModelParams] | None = None
     best_global: tuple[float, int, ModelParams] | None = None

@@ -145,7 +145,6 @@ def test_dataset_columns_are_its_rows_in_csr_form():
     rows = [data.make_instance([3, 1], [0.5, 2.0], 1), data.make_instance([4], [1.0], 0),
             data.make_instance([0, 2, 4], [1.0, -3.0, 1.0], 1)]
     cols = Dataset(rows, vocab_size=5).columns
-    assert cols.instances == tuple(rows)
     np.testing.assert_array_equal(cols.counts, [2, 1, 3])
     np.testing.assert_array_equal(cols.offsets, [0, 2, 3])
     np.testing.assert_array_equal(cols.ids, [1, 3, 4, 0, 2, 4])
@@ -154,8 +153,8 @@ def test_dataset_columns_are_its_rows_in_csr_form():
     assert [a.dtype for a in (cols.counts, cols.offsets, cols.ids, cols.values, cols.labels)] == [
         np.int64, np.int64, np.int64, np.float64, np.int64]
     empty = Dataset([], vocab_size=3).columns
-    assert empty.instances == () and all(
-        a.shape == (0,) for a in (empty.counts, empty.offsets, empty.ids, empty.values))
+    assert all(a.shape == (0,) for a in (empty.counts, empty.offsets, empty.ids, empty.values,
+                                         empty.labels))
 
 
 def test_dataset_columns_never_go_stale():
@@ -173,7 +172,9 @@ def test_dataset_columns_never_go_stale():
     np.testing.assert_array_equal(other.columns.ids, [3, 2, 3])
     np.testing.assert_array_equal(other.columns.values, [2.0, 1.0, 1.0])
     assert data.columns_of(ds) is cols
-    assert data.columns_of(rows).instances == tuple(rows)
+    fresh = data.columns_of(rows)  # a sequence's columns are built from it now
+    np.testing.assert_array_equal(fresh.ids, [3, 2, 3])
+    np.testing.assert_array_equal(fresh.labels, [0, 0, 1])
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,9 +10,11 @@ and every gradient block, for every gate source.
 
 import dataclasses
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from l0sign import data, evaluate, gates, model, train
 from l0sign import numcore as nc
@@ -337,7 +339,9 @@ def test_forward_is_the_batch_of_one():
     for inst in ragged_batch(seed=3):
         trace = model.forward(inst, params)
         ref = reference_forward(inst, params)
-        assert trace.instance is inst
+        np.testing.assert_array_equal(trace.layout.ids, inst.node_array)
+        np.testing.assert_array_equal(trace.layout.values, inst.value_array)
+        np.testing.assert_array_equal(trace.layout.counts, [inst.n_nodes])
         assert trace.score == pytest.approx(ref.score, abs=TOL)
         np.testing.assert_array_equal(trace.layout.slot_i, ref.pi)
         np.testing.assert_array_equal(trace.layout.slot_j, ref.pj)
@@ -582,9 +586,10 @@ def test_engine_matches_reference_on_uniform_and_mixed_chunks(monkeypatch):
     assert not any(isinstance(part, slice) for b in mixed.buckets for part in b[1:])
 
     params = ModelParams.random(SMALL, seed=14)
-    for _, layout in chunks:
+    for start, layout in chunks:
         trace = model.forward_batch(layout, params)
-        refs = [reference_forward(inst, params) for inst in layout.instances]
+        refs = [reference_forward(inst, params)
+                for inst in instances[start : start + layout.counts.shape[0]]]
         assert_close(trace.scores, [r.score for r in refs], "scores")
         assert_close(model._contributions(trace, params),
                      np.concatenate([reference_contributions(r, params) for r in refs]),
@@ -670,12 +675,20 @@ def test_node_update_sink_keeps_sample_order(monkeypatch):
 def test_chunks_respect_the_slot_budget(monkeypatch):
     monkeypatch.setattr(model, "CHUNK_SLOTS", 20)
     batch = ragged_batch(seed=15, sizes=(3, 1, 5, 2, 6, 1, 4, 7, 2))  # k=6, 7 exceed 20 alone
-    seen = []
+    next_start, counts, ids, values = 0, [], [], []
     for start, layout in model.chunk_layouts(data.columns_of(batch)):
-        assert layout.instances == tuple(batch[start : start + len(layout.instances)])
-        assert layout.slot_i.shape[0] <= 20 or len(layout.instances) == 1
-        seen.extend(layout.instances)
-    assert seen == batch
+        assert start == next_start  # consecutive runs, in order
+        next_start += layout.counts.shape[0]
+        assert layout.slot_i.shape[0] <= 20 or layout.counts.shape[0] == 1
+        counts.append(layout.counts)
+        ids.append(layout.ids)
+        values.append(layout.values)
+    assert next_start == len(batch)  # every row once
+    np.testing.assert_array_equal(np.concatenate(counts), [inst.n_nodes for inst in batch])
+    np.testing.assert_array_equal(np.concatenate(ids),
+                                  np.concatenate([inst.node_array for inst in batch]))
+    np.testing.assert_array_equal(np.concatenate(values),
+                                  np.concatenate([inst.value_array for inst in batch]))
 
 
 def test_score_many_matches_per_instance_scores():
@@ -699,9 +712,7 @@ def test_score_many_matches_per_instance_scores():
 def assert_same_layout(got, want):
     for f in dataclasses.fields(model.PairLayout):
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "instances":
-            assert a == b
-        elif f.name == "buckets":
+        if f.name == "buckets":
             assert [bk.k for bk in a] == [bk.k for bk in b]
             for x, y in zip(a, b):
                 for part in ("instances", "nodes", "slots"):
@@ -743,7 +754,8 @@ def test_one_row_dataset_and_empty_dataset():
     assert_same_layout(model.PairLayout.gather(one.columns, np.array([0])),
                        model.PairLayout.of((inst,)))
     (start, layout), = model.chunk_layouts(one.columns)
-    assert start == 0 and layout.instances == (inst,)
+    assert start == 0
+    assert_same_layout(layout, model.PairLayout.of((inst,)))
     params = ModelParams.random(SMALL, seed=3)
     assert model.score_many(one, params).tobytes() == model.forward(inst, params).scores.tobytes()
 
@@ -793,6 +805,104 @@ def test_scores_and_pair_table_equal_layouts_of_each_chunk(monkeypatch):
     i, j, got_counts = evaluate.pair_table(ds)
     np.testing.assert_array_equal(i * 2**31 + j, codes)
     np.testing.assert_array_equal(got_counts, counts)
+
+
+# ---------------------------------------------------------------------------
+# Drawn batches: ragged node counts, colliding or distinct tokens, repeated
+# rows, chunk budgets and gate sources, against the reference.
+
+LARGE = dataclasses.replace(SMALL, vocab_size=500)
+GATE_SOURCES = ("noise", "deterministic", "pinned-set", "empty-set")
+
+
+def expected_layout(instances):
+    """(ids, values, counts, slot_i, slot_j, buckets) of the per-instance
+    layouts concatenated; buckets as (k, instance, node, slot positions)."""
+    ones = [model.PairLayout.of((inst,)) for inst in instances]
+    counts = np.array([inst.n_nodes for inst in instances])
+    first_node = np.cumsum(counts) - counts
+    first_slot = np.cumsum(model.pair_count(counts)) - model.pair_count(counts)
+    buckets = []
+    for k in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == k)
+        buckets.append((k, members,
+                        np.concatenate([np.arange(k) + first_node[b] for b in members]),
+                        np.concatenate([np.arange(model.pair_count(k)) + first_slot[b]
+                                        for b in members])))
+    return (np.concatenate([one.ids for one in ones]),
+            np.concatenate([one.values for one in ones]),
+            counts,
+            np.concatenate([one.slot_i + n for one, n in zip(ones, first_node)]),
+            np.concatenate([one.slot_j + n for one, n in zip(ones, first_node)]),
+            buckets)
+
+
+@st.composite
+def engine_cases(draw):
+    """(config, instances, rows, chunk budget, gate source, seed)."""
+    config = draw(st.sampled_from((SMALL, LARGE)))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):  # one node count for every instance, or mixed
+        ks = [draw(st.integers(1, 9))] * draw(st.integers(1, 6))
+    else:
+        ks = draw(st.lists(st.integers(1, 9), min_size=1, max_size=6))
+    repeats = draw(st.booleans())  # values from two levels, so tokens collide
+    instances = []
+    for k in ks:
+        nodes = rng.choice(config.vocab_size, size=k, replace=False).tolist()
+        values = rng.choice([0.5, 1.0], size=k) if repeats else rng.uniform(0.3, 1.8, size=k)
+        instances.append(data.make_instance(nodes, values.tolist(), int(rng.integers(0, 2))))
+    rows = draw(st.lists(st.integers(0, len(ks) - 1), min_size=1, max_size=12))
+    budget = draw(st.sampled_from((1, 12, 45, model.CHUNK_SLOTS)))
+    return config, instances, np.array(rows), budget, draw(st.sampled_from(GATE_SOURCES)), seed
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(engine_cases())
+def test_drawn_batches_match_the_reference(case):
+    config, instances, rows, budget, source, seed = case
+    rng = np.random.default_rng(seed + 1)
+    params = ModelParams.random(config, seed=seed)
+    ds = data.Dataset(instances, vocab_size=config.vocab_size)
+    batch = [instances[r] for r in rows.tolist()]
+
+    layout = model.PairLayout.gather(ds.columns, rows)
+    *arrays, buckets = expected_layout(batch)
+    for name, want in zip(("ids", "values", "counts", "slot_i", "slot_j"), arrays):
+        np.testing.assert_array_equal(getattr(layout, name), want, err_msg=name)
+    assert [b.k for b in layout.buckets] == [k for k, *_ in buckets]
+    sizes = (len(batch), layout.ids.shape[0], layout.slot_i.shape[0])
+    for got, (_, *want) in zip(layout.buckets, buckets):
+        for part, positions, n in zip(got[1:], want, sizes):  # slices as positions
+            np.testing.assert_array_equal(np.arange(n)[part], positions)
+
+    pairs = {(int(a), int(b)) for inst in instances
+             for a in inst.nodes for b in inst.nodes if a <= b}
+    edges = (frozenset() if source == "empty-set" else
+             frozenset(p for p in sorted(pairs) if rng.random() < 0.5))
+    if source in ("noise", "deterministic"):
+        tcfg = TrainConfig(seed=seed, lambda1=0.05, lambda2=0.02)
+    else:
+        tcfg = TrainConfig(seed=seed, mode="sign-fixed", fixed_edges=edges, lambda2=0.02)
+    noise_seed = seed if source == "noise" else None
+    pinned = source.endswith("set")
+    with mock.patch.object(model, "CHUNK_SLOTS", budget):
+        assert_close(model.score_many(batch, params, edges=edges if pinned else None),
+                     [reference_forward(inst, params, pinned=reference_edges(inst, edges)
+                                        if pinned else None).score for inst in batch],
+                     "score_many")
+        # rows are the sample indices, as in `fit`
+        want, want_grads = grads_of(params, lambda: reference_risk(
+            list(zip(rows.tolist(), batch)), params, tcfg, epoch=3, noise_seed=noise_seed))
+        noise = None
+        if noise_seed is not None:
+            noise = NoiseStream(seed).uniforms(3, rows, model.pair_count(ds.columns.counts[rows]))
+        got, got_grads = grads_of(params, lambda: train.risk(ds, params, tcfg, rows=rows,
+                                                             noise=noise))
+    assert_close([got.total, got.loss, got.l0, got.l2], want, "risk parts")
+    for block in model.PARAM_ORDER:
+        assert_close(got_grads[block], want_grads[block], block)
 
 
 # ---------------------------------------------------------------------------

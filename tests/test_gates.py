@@ -40,7 +40,6 @@ def test_sample_midpoint_noise_hand_value():
     drawn = draw(0.0, 0.5)
     assert abs(drawn.value[0] - 0.5) < 1e-12
     assert abs(drawn.pre_clamp[0] - 0.5) < 1e-12
-    assert drawn.noise[0] == 0.5
 
 
 def test_sample_gradient_hand_value():

@@ -270,10 +270,10 @@ def test_predict_fixed_accepts_pair_sets():
 # ---------------------------------------------------------------------------
 # Predictions read from the trace's arrays, against the per-slot build
 
-def reference_prediction(trace, params):
-    """The Prediction of a one-instance trace, one slot at a time, as it was
-    built before `slot_columns`."""
-    ids = trace.instance.node_array
+def reference_prediction(inst, trace, params):
+    """The Prediction of the trace of instance `inst`, one slot at a time,
+    as it was built before `slot_columns`."""
+    ids = inst.node_array
     contrib = model._contributions(trace, params)
     pairs = tuple(
         model.PairAnalysis(
@@ -323,7 +323,7 @@ def test_predict_equals_the_per_slot_build(seed, closed_bias, binary):
               else closed_gate_params(seed, closed_bias))
     inst = random_instance(rng, SMALL.vocab_size, k=int(rng.integers(1, 8)))
     got = model.predict(inst, params, binary_gates=binary)
-    want = reference_prediction(model.forward(inst, params, binary_gates=binary), params)
+    want = reference_prediction(inst, model.forward(inst, params, binary_gates=binary), params)
     assert exact(got) == exact(want)
     if closed_bias == -60.0:
         assert all(p.gate == 0.0 for p in got.pairs) and got.score == 0.0
@@ -337,13 +337,13 @@ def test_predict_fixed_equals_the_per_slot_build(seed):
     n_slots = model.pair_count(inst.n_nodes)
     pinned = rng.uniform(0.0, 1.0, size=n_slots) * (rng.random(n_slots) < 0.6)
     got = model.predict_fixed(inst, params, pinned)
-    want = reference_prediction(model.forward(inst, params, pinned_edges=pinned), params)
+    want = reference_prediction(inst, model.forward(inst, params, pinned_edges=pinned), params)
     assert exact(got) == exact(want)
     assert all(p.log_alpha is None for p in got.pairs)
     pairs = {(i, j) for i in inst.nodes for j in inst.nodes if i <= j and rng.random() < 0.5}
     got = model.predict_fixed(inst, params, pairs)
     want = reference_prediction(
-        model.forward(inst, params, pinned_edges=model.edges_for_instance(inst, pairs)), params
+        inst, model.forward(inst, params, pinned_edges=model.edges_for_instance(inst, pairs)), params
     )
     assert exact(got) == exact(want)
 

@@ -354,7 +354,6 @@ def test_overwhelming_l0_weight_collapses_gates_and_ranking():
     assert last.valid_auc == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.slow
 def test_stronger_l0_weight_closes_more_gates():
     ds = small_dataset(n=1200, vocab=12, k=4, n_pairs=6, seed=1)
     tr, va, _ = data.split(ds, data.SplitSpec(seed=0))
