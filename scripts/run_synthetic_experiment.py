@@ -25,17 +25,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from l0sign import cli, data, evaluate, model
 
+# the synth settings this script passes on; their defaults are the CLI's
+SYNTH_KEYS = ("vocab", "samples", "nodes_per_sample", "pairs", "noise")
+
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default="runs/synthetic", help="run directory")
     ap.add_argument("--data-seed", type=int, default=1087, help="generator draw")
     ap.add_argument("--seed", type=int, default=3, help="training seed")
-    ap.add_argument("--vocab", type=int, default=20)
-    ap.add_argument("--samples", type=int, default=5000)
-    ap.add_argument("--nodes-per-sample", type=int, default=6)
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--noise", type=float, default=0.05)
+    for key in SYNTH_KEYS:
+        default = cli.DEFAULTS[key]
+        ap.add_argument(cli.flag(key), dest=key, type=type(default), default=default)
     ap.add_argument("--epochs", type=int, default=None, help="override the default")
     ap.add_argument("--skip-ablation", action="store_true")
     args = ap.parse_args(argv)
@@ -46,13 +47,9 @@ def main(argv: list[str] | None = None) -> int:
     seed = str(args.seed)
 
     stages: list[list[str]] = [
-        [
-            "synth", "--out", str(out), "--vocab", str(args.vocab),
-            "--samples", str(args.samples),
-            "--nodes-per-sample", str(args.nodes_per_sample),
-            "--pairs", str(args.pairs), "--noise", str(args.noise),
-            "--seed", str(args.data_seed),
-        ],
+        ["synth", "--out", str(out)]
+        + [arg for key in SYNTH_KEYS for arg in (cli.flag(key), str(getattr(args, key)))]
+        + ["--seed", str(args.data_seed)],
         [
             "train", "--data", str(data_file), "--out", str(out), "--seed", seed,
         ]

@@ -64,6 +64,11 @@ DEFAULTS = {
 }
 
 
+def flag(key: str) -> str:
+    """The command-line flag of a setting: its key with `_` written as `-`."""
+    return "--" + key.replace("_", "-")
+
+
 def parse_config_file(path) -> dict[str, str]:
     """Flat key=value lines; '#' starts a comment; blank lines ignored.
     Every key must be a setting of DEFAULTS."""
@@ -88,7 +93,7 @@ class Settings:
 
     def __init__(self, args: argparse.Namespace) -> None:
         self.args = args
-        self.file_cfg = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        self.file_cfg = parse_config_file(args.config) if args.config else {}
 
     def get(self, key: str):
         default = DEFAULTS[key]
@@ -210,7 +215,7 @@ def cmd_train(args) -> int:
     settings = Settings(args)
     out = _out_dir(args)
     _, train_ds, valid_ds, test_ds = _load_and_split(settings)
-    fixed = load_edge_set(args.edges) if getattr(args, "edges", None) else None
+    fixed = load_edge_set(args.edges) if args.edges else None
     tcfg = _train_config(settings, fixed_edges=fixed)
     mcfg = _model_config(settings, train_ds.vocab_size)
     started = time.perf_counter()
@@ -268,7 +273,7 @@ def cmd_eval(args) -> int:
         f"f1 {metrics.f1:.6f}{'' if metrics.f1_defined else ' (undefined)'}  "
         f"open-gate fraction {report.open_fraction:.4f}"
     )
-    if getattr(args, "out", None):
+    if args.out:
         out = _out_dir(args)
         payload = {
             "n": metrics.n_samples,
@@ -290,9 +295,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     params, _ = model_mod.load_checkpoint(args.checkpoint)
     _, train_ds, valid_ds, test_ds = _load_and_split(settings, params)
-    kwargs = {}
-    if getattr(args, "ablate_epochs", None) is not None:
-        kwargs["epochs"] = args.ablate_epochs
+    kwargs = {} if args.ablate_epochs is None else {"epochs": args.ablate_epochs}
     rows = train_mod.run_ablation(
         train_ds, valid_ds, test_ds, params,
         _train_config(settings),
@@ -388,97 +391,68 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+# command -> (handler, help, required path flags, settings it takes as
+# flags besides --seed); every command also takes --config
+_COMMANDS = {
+    "synth": (cmd_synth, "generate a planted-pair synthetic dataset", ("out",),
+              ("vocab", "samples", "nodes_per_sample", "pairs", "noise")),
+    "train": (cmd_train, "train a model and write checkpoint + log", ("data", "out"),
+              ("threshold", "lambda1", "lambda2", "epochs", "batch", "lr", "initial_accumulator",
+               "mode", "split", "edge_dim", "interaction_dim", "hidden_dim", "embedding_update")),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset split", ("data", "checkpoint"),
+             ("threshold", "split", "split_name")),
+    "ablate": (cmd_ablate, "predicted-vs-reversed edge-ratio ablation",
+               ("data", "out", "checkpoint"),
+               ("threshold", "split", "ratios", "repeats", "epochs", "batch", "lr", "lambda2")),
+    "explain": (cmd_explain, "export per-instance interaction explanations",
+                ("data", "out", "checkpoint"), ("split", "split_name", "count")),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of the gradient engine", (),
+                  ("instances", "epsilon", "tol", "lambda1", "lambda2")),
+}
+_PATH_HELP = {"data": "dataset text file", "out": "output directory", "checkpoint": None}
+_CHOICES = {
+    "mode": train_mod.MODES,
+    "embedding_update": train_mod.EMBEDDING_UPDATES,
+    "split_name": ("train", "valid", "test", "all"),
+}
+_HELP = {
+    "threshold": "gate threshold for edge counting",
+    "initial_accumulator": "starting value of the per-coordinate squared-gradient sum",
+    "split": "train,valid,test fractions",
+    "ratios": "comma-separated edge ratios",
+    "count": "how many instances to explain",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per `_COMMANDS` entry. A setting's flag parses to its
+    default's type (strings stay untyped); an unset flag is None, so
+    `Settings` falls back."""
     parser = argparse.ArgumentParser(
         prog="l0sign",
         description="Gated feature-interaction classifier over feature graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *, data: bool = False, out: bool = False) -> None:
-        if data:
-            p.add_argument("--data", required=True, help="dataset text file")
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+    cmds = {}
+    for name, (fn, text, paths, keys) in _COMMANDS.items():
+        p = cmds[name] = sub.add_parser(name, help=text)
+        for path in paths:
+            p.add_argument(f"--{path}", required=True, help=_PATH_HELP[path])
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threshold", type=float, help="gate threshold for edge counting")
-
-    p = sub.add_parser("synth", help="generate a planted-pair synthetic dataset")
-    common(p, out=True)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--nodes-per-sample", dest="nodes_per_sample", type=int)
-    p.add_argument("--pairs", type=int)
-    p.add_argument("--noise", type=float)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("train", help="train a model and write checkpoint + log")
-    common(p, data=True, out=True)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument(
-        "--initial-accumulator", dest="initial_accumulator", type=float,
-        help="starting value of the per-coordinate squared-gradient sum",
-    )
-    p.add_argument("--mode", choices=train_mod.MODES)
-    p.add_argument("--edges", help="edge list JSON for sign-fixed mode")
-    p.add_argument("--split", help="train,valid,test fractions")
-    p.add_argument("--edge-dim", dest="edge_dim", type=int)
-    p.add_argument("--interaction-dim", dest="interaction_dim", type=int)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument(
-        "--embedding-update", dest="embedding_update",
-        choices=("gradient", "algorithm-literal"),
-    )
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    common(p, data=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", help="train,valid,test fractions")
-    p.add_argument("--split-name", dest="split_name", choices=("train", "valid", "test", "all"))
-    p.add_argument(
-        "--binary-gates", dest="binary_gates", action="store_true",
-        help="threshold gates to 0/1 instead of using graded values",
-    )
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("ablate", help="predicted-vs-reversed edge-ratio ablation")
-    common(p, data=True, out=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", help="train,valid,test fractions")
-    p.add_argument("--ratios", help="comma-separated edge ratios")
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--ablate-epochs", dest="ablate_epochs", type=int,
-                   help="override epochs for the ablation retrains only")
-    p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("explain", help="export per-instance interaction explanations")
-    common(p, data=True, out=True)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", help="train,valid,test fractions")
-    p.add_argument("--split-name", dest="split_name", choices=("train", "valid", "test", "all"))
-    p.add_argument("--count", type=int, help="how many instances to explain")
-    p.set_defaults(fn=cmd_explain)
-
-    p = sub.add_parser("gradcheck", help="finite-difference check of the gradient engine")
-    common(p)
-    p.add_argument("--instances", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.set_defaults(fn=cmd_gradcheck)
-
+        for key in ("seed",) + keys:
+            default = DEFAULTS[key]
+            p.add_argument(
+                flag(key), dest=key,
+                type=None if isinstance(default, str) else type(default),
+                choices=_CHOICES.get(key), help=_HELP.get(key),
+            )
+        p.set_defaults(fn=fn)
+    cmds["train"].add_argument("--edges", help="edge list JSON for sign-fixed mode")
+    cmds["eval"].add_argument("--binary-gates", action="store_true",
+                              help="threshold gates to 0/1 instead of using graded values")
+    cmds["eval"].add_argument("--out", help="output directory for metrics.json")
+    cmds["ablate"].add_argument("--ablate-epochs", type=int,
+                                help="override epochs for the ablation retrains only")
     return parser
 
 

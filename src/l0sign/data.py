@@ -81,6 +81,16 @@ class PlantedPairs:
             if i >= j:
                 raise ValueError(f"planted pairs are stored as (i, j) with i < j, got ({i}, {j})")
 
+    def held(self, present: set[int]) -> tuple[bool, float]:
+        """Whether the node set `present` holds any planted pair, and the
+        summed weight of the pairs it holds (added in pair order)."""
+        hit, score = False, 0.0
+        for (i, j), w in zip(self.pairs, self.weights):
+            if i in present and j in present:
+                score += w
+                hit = True
+        return hit, score
+
     def to_json_dict(self) -> dict:
         return {"pairs": [list(p) for p in self.pairs], "weights": list(self.weights)}
 
@@ -289,8 +299,15 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]
     )
 
 
+def _check_vocab_size(vocab_size: int) -> None:
+    """numpy draws feature ids as int64, so the vocabulary must fit in it."""
+    if vocab_size > np.iinfo(np.int64).max:
+        raise ValueError(f"vocab_size must be at most 2**63 - 1, got {vocab_size}")
+
+
 def draw_planted_pairs(vocab_size: int, count: int, seed: int) -> tuple[tuple[int, int], ...]:
     """Draw `count` distinct unordered non-self pairs from the vocabulary."""
+    _check_vocab_size(vocab_size)
     max_pairs = vocab_size * (vocab_size - 1) // 2
     if count > max_pairs:
         raise ValueError(f"cannot draw {count} distinct pairs from {vocab_size} features")
@@ -325,6 +342,7 @@ def generate_synthetic(
     """
     if not 0.0 <= noise_rate < 0.5:
         raise ValueError(f"noise_rate must lie in [0, 0.5), got {noise_rate}")
+    _check_vocab_size(vocab_size)
     if nodes_per_sample > vocab_size:
         raise ValueError(f"cannot draw {nodes_per_sample} distinct features from {vocab_size}")
     if n_samples <= 0:
@@ -353,13 +371,7 @@ def generate_synthetic(
     instances: list[Instance] = []
     for _ in range(n_samples):
         nodes = np.sort(rng.choice(vocab_size, size=nodes_per_sample, replace=False))
-        present = set(nodes.tolist())
-        score = 0.0
-        hit = False
-        for (i, j), w in zip(truth.pairs, truth.weights):
-            if i in present and j in present:
-                score += w
-                hit = True
+        hit, score = truth.held(set(nodes.tolist()))
         if hit:
             label = 1 if score > 0 else 0
         else:
@@ -382,10 +394,7 @@ def generate_synthetic(
 
 def oracle_score(instance: Instance, truth: PlantedPairs) -> float:
     """Summed planted weight inside the instance, the generative raw score."""
-    present = set(instance.nodes)
-    return sum(
-        w for (i, j), w in zip(truth.pairs, truth.weights) if i in present and j in present
-    )
+    return truth.held(set(instance.nodes))[1]
 
 
 def oracle_posteriors(dataset: Dataset, noise_rate: float) -> np.ndarray:
@@ -394,12 +403,11 @@ def oracle_posteriors(dataset: Dataset, noise_rate: float) -> np.ndarray:
         raise ValueError("dataset has no planted ground truth")
     out = np.empty(len(dataset))
     for n, inst in enumerate(dataset.instances):
-        present = set(inst.nodes)
-        hit = any(i in present and j in present for i, j in dataset.planted.pairs)
+        hit, score = dataset.planted.held(set(inst.nodes))
         if not hit:
             out[n] = 0.5
         else:
-            out[n] = 1.0 - noise_rate if oracle_score(inst, dataset.planted) > 0 else noise_rate
+            out[n] = 1.0 - noise_rate if score > 0 else noise_rate
     return out
 
 

@@ -199,8 +199,8 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int) -> None:
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= seed < 2**64:  # the Philox key word is a uint64
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         self.seed = int(seed)
 
     def uniforms(self, epoch: int, sample_indices, counts) -> np.ndarray:

@@ -22,6 +22,7 @@ from .gates import NoiseStream
 from .model import ModelConfig, ModelParams
 
 MODES = ("l0sign", "sign-complete", "sign-fixed")
+EMBEDDING_UPDATES = ("gradient", "algorithm-literal")
 
 # Epoch selection ranks steady epochs first (see `_steady`).
 STEADY_WINDOW = 3
@@ -53,13 +54,15 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be non-negative and finite, got {value}")
+        if not 0 <= self.seed < 2**64:  # it keys the uint64 noise stream
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
         if not math.isfinite(self.gate_threshold):
             raise ValueError(f"gate_threshold must be finite, got {self.gate_threshold}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "sign-fixed" and self.fixed_edges is None:
             raise ValueError("sign-fixed mode needs fixed_edges")
-        if self.embedding_update not in ("gradient", "algorithm-literal"):
+        if self.embedding_update not in EMBEDDING_UPDATES:
             raise ValueError(f"unknown embedding_update {self.embedding_update!r}")
 
 

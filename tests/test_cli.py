@@ -5,6 +5,7 @@ config-file precedence, artifact writing, and exit codes are all exercised
 exactly as a shell invocation would.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -483,3 +484,61 @@ def test_ablate_rejects_bad_settings_before_retraining(
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "ablation.csv").exists()
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("train", ["--seed", str(2**64)], "seed"),
+    ("gradcheck", ["--seed", str(2**64)], "seed"),
+    ("synth", ["--vocab", str(2**70)], "vocab"),
+], ids=["train-seed", "gradcheck-seed", "synth-vocab"])
+def test_oversized_integer_setting_is_one_error_line(synth_dir, tmp_path, capsys, command,
+                                                     flags, name):
+    out = tmp_path / "o"
+    argv = {"train": train_argv(synth_dir, out), "gradcheck": ["gradcheck"],
+            "synth": ["synth", "--out", str(out)]}[command]
+    rc = cli.main(argv + flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1
+    assert not (out / "model.ckpt").exists() and not (out / "data.txt").exists()
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_setting_flags_follow_defaults_and_match_the_config_file(tmp_path):
+    flagged = set()
+    for command, parser in subcommands().items():
+        required = [arg for a in parser._actions if a.required
+                    for arg in (a.option_strings[0], "x")]
+        for action in parser._actions:
+            key = action.dest
+            if key not in cli.DEFAULTS:
+                continue
+            flagged.add(key)
+            kind = type(cli.DEFAULTS[key])
+            assert action.option_strings == [cli.flag(key)], (command, key)
+            assert (action.type or str) is kind, (command, key)
+            raw = (action.choices[-1] if action.choices
+                   else {int: "7", float: "0.25", str: "a,b"}[kind])
+            cfg = tmp_path / f"{command}-{key}.cfg"
+            cfg.write_text(f"{key}={raw}\n")
+            from_flag = cli.Settings(parser.parse_args(required + [action.option_strings[0], raw]))
+            from_file = cli.Settings(parser.parse_args(required + ["--config", str(cfg)]))
+            got = from_flag.get(key)
+            assert type(got) is kind and got == from_file.get(key), (command, key)
+    assert flagged == set(cli.DEFAULTS)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--out", "o"],
+    ["explain", "--data", "d", "--checkpoint", "c", "--out", "o"],
+    ["gradcheck"],
+], ids=["synth", "explain", "gradcheck"])
+def test_commands_that_never_read_the_threshold_reject_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--threshold", "0.9"])
+    assert exc.value.code == 2
+    assert "--threshold" in capsys.readouterr().err

@@ -812,7 +812,7 @@ def test_scores_and_pair_table_equal_layouts_of_each_chunk(monkeypatch):
 # rows, chunk budgets and gate sources, against the reference.
 
 LARGE = dataclasses.replace(SMALL, vocab_size=500)
-GATE_SOURCES = ("noise", "deterministic", "pinned-set", "empty-set")
+GATE_SOURCES = ("noise", "deterministic", "pinned-set", "empty-set", "complete")
 
 
 def expected_layout(instances):
@@ -879,19 +879,37 @@ def test_drawn_batches_match_the_reference(case):
 
     pairs = {(int(a), int(b)) for inst in instances
              for a in inst.nodes for b in inst.nodes if a <= b}
-    edges = (frozenset() if source == "empty-set" else
+    edges = (frozenset() if source == "empty-set" else pairs if source == "complete" else
              frozenset(p for p in sorted(pairs) if rng.random() < 0.5))
     if source in ("noise", "deterministic"):
         tcfg = TrainConfig(seed=seed, lambda1=0.05, lambda2=0.02)
+    elif source == "complete":
+        tcfg = TrainConfig(seed=seed, mode="sign-complete", lambda2=0.02)
     else:
         tcfg = TrainConfig(seed=seed, mode="sign-fixed", fixed_edges=edges, lambda2=0.02)
     noise_seed = seed if source == "noise" else None
-    pinned = source.endswith("set")
+    # scored with the gates of the source: deterministic for noise, binary
+    # for deterministic, the edge set (every pair for complete) otherwise
+    binary = source == "deterministic"
+    score_edges = None if source in ("noise", "deterministic") else edges
+    refs = [reference_forward(inst, params, binary=binary, pinned=None if score_edges is None
+                              else reference_edges(inst, score_edges)) for inst in batch]
+    codes = None if score_edges is None else model.edge_codes(score_edges)
     with mock.patch.object(model, "CHUNK_SLOTS", budget):
-        assert_close(model.score_many(batch, params, edges=edges if pinned else None),
-                     [reference_forward(inst, params, pinned=reference_edges(inst, edges)
-                                        if pinned else None).score for inst in batch],
-                     "score_many")
+        assert_close(model.score_many(batch, params, edges=score_edges, binary_gates=binary),
+                     [r.score for r in refs], "score_many")
+        chunks = [model.slot_columns(model.forward_batch(
+            lay, params, binary_gates=binary,
+            pinned_edges=None if codes is None else model.pinned_edges(lay, codes)), params)
+            for _, lay in model.chunk_layouts(ds.columns, rows)]
+        i, j, gate, contribution = (np.concatenate(col) for col in zip(*chunks))
+        np.testing.assert_array_equal(
+            i, np.concatenate([r.instance.node_array[r.pi] for r in refs]))
+        np.testing.assert_array_equal(
+            j, np.concatenate([r.instance.node_array[r.pj] for r in refs]))
+        assert_close(gate, np.concatenate([r.edge_values for r in refs]), "slot gates")
+        assert_close(contribution, np.concatenate([reference_contributions(r, params)
+                                                   for r in refs]), "contributions")
         # rows are the sample indices, as in `fit`
         want, want_grads = grads_of(params, lambda: reference_risk(
             list(zip(rows.tolist(), batch)), params, tcfg, epoch=3, noise_seed=noise_seed))

@@ -175,6 +175,8 @@ def test_noise_stream_independent_of_other_samples():
 def test_noise_stream_rejects_bad_arguments():
     with pytest.raises(ValueError):
         NoiseStream(-1)
+    with pytest.raises(ValueError, match="seed must lie in"):
+        NoiseStream(2**64)  # past the uint64 key word
     with pytest.raises(ValueError):
         NoiseStream(0).pair_uniforms(-1, 0, 4)
     with pytest.raises(ValueError):

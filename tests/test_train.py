@@ -38,6 +38,10 @@ def test_train_config_validation():
         TrainConfig(mode="sign-fixed")  # needs fixed_edges
     with pytest.raises(ValueError):
         TrainConfig(embedding_update="other")
+    for seed in (-1, 2**64):  # the seed keys the uint64 noise stream
+        with pytest.raises(ValueError, match="seed must lie in"):
+            TrainConfig(seed=seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("name", ["lr", "lambda1", "lambda2", "initial_accumulator",
