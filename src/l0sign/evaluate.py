@@ -103,7 +103,9 @@ def score_dataset(
     dataset: Dataset, params: ModelParams, *, binary_gates: bool = False
 ) -> np.ndarray:
     """Raw scores for every instance; graded deterministic gates by default,
-    thresholded 0/1 gates when `binary_gates` is set."""
+    thresholded 0/1 gates when `binary_gates` is set. Pairs whose gate is
+    exactly 0 are skipped (`model.score_many`), so scores may differ from
+    the per-instance `explain` pass in the last bits."""
     return model_mod.score_many(dataset, params, binary_gates=binary_gates)
 
 

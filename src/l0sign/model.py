@@ -23,6 +23,13 @@ layout are grouped by node count: within a group of k-node instances,
 slots reach their nodes through one matmul with the (k x pair_count(k))
 incidence matrix of a k-node instance, and back through its transpose.
 The per-instance `forward` is its batch of one.
+
+Batched passes that need no gradient (`score_many`, validation in
+training) are open-only: a slot whose gate is exactly 0 adds nothing, so
+the pair MLP runs only on the rows that an open slot reads. The
+per-instance paths (`forward`, `predict`, `explain`) stay dense: `predict`
+reports every pair's interaction, and at one instance the skip gains
+nothing.
 """
 
 from __future__ import annotations
@@ -580,7 +587,9 @@ class Forward:
     reverse pass and for explanations. Node arrays are indexed like
     `layout.ids`, slot arrays like `layout.slot_i`, and the MLP arrays
     `edge_prod`/`edge_pre`/`edge_act` and `pair_prod`/`pair_pre`/`pair_act`
-    by the distinct edge and pair rows in `rows`."""
+    by the distinct edge and pair rows in `rows`. In an `open_only` trace
+    the pair-MLP arrays cover only the pair rows that a slot with a
+    non-zero gate reads, and every other slot's interaction is zero."""
 
     layout: PairLayout
     rows: PairRows
@@ -602,6 +611,7 @@ class Forward:
     denom: np.ndarray  # (N,) max(soft_degree, DEGREE_EPS)
     node_update: np.ndarray  # (N, d) v'_i
     scores: np.ndarray  # (B,)
+    open_only: bool = False
 
     @property
     def score(self) -> float:
@@ -611,6 +621,15 @@ class Forward:
         return float(self.scores[0])
 
 
+def _check_gate_source(binary_gates: bool, noise, pinned) -> None:
+    """Binary gates threshold the edge MLP's noise-free gate, so they take
+    neither gate noise nor pinned gate values."""
+    if binary_gates and noise is not None:
+        raise ValueError("binary gates are an evaluation option; drop the noise argument")
+    if binary_gates and pinned is not None:
+        raise ValueError("binary gates need predicted logits; got pinned edges")
+
+
 def forward_batch(
     layout: PairLayout,
     params: ModelParams,
@@ -618,6 +637,7 @@ def forward_batch(
     noise: np.ndarray | None = None,
     pinned_edges: np.ndarray | None = None,
     binary_gates: bool = False,
+    open_only: bool = False,
 ) -> Forward:
     """Run the fixed computation shape over every pair slot of a layout,
     each MLP once per distinct row.
@@ -627,11 +647,15 @@ def forward_batch(
     stochastic when `noise` (per-slot uniforms) is given, deterministic
     when not. `binary_gates` thresholds the deterministic gate to exact 0/1
     values, an evaluation-only variant with no gradient path.
+
+    `open_only` is for passes that never run `backward`: the pair MLP runs
+    only on the pair rows that a slot with a non-zero gate reads, and every
+    other slot gets a zero interaction. A closed slot adds nothing to its
+    nodes' sums, their soft degree or the score, so only the summation
+    order of matmuls over fewer rows moves the outputs, at the ulp level.
+    When every gate is open the pass is the dense one.
     """
-    if binary_gates and noise is not None:
-        raise ValueError("binary gates are an evaluation option; drop the noise argument")
-    if binary_gates and pinned_edges is not None:
-        raise ValueError("binary gates need predicted logits; got pinned edges")
+    _check_gate_source(binary_gates, noise, pinned_edges)
     cfg = params.config
     ids, n_slots = layout.ids, layout.slot_i.shape[0]
     rows = distinct_rows(layout, edges=pinned_edges is None)
@@ -665,9 +689,17 @@ def forward_batch(
             gate = gates.deterministic_batch(log_alpha, cfg.gate)
         edge_values = gate.value
 
+    pair_i, pair_j, read = rows.pair_i, rows.pair_j, None
+    if open_only and not edge_values.all():
+        read = np.zeros(pair_i.shape[0], dtype=bool)
+        read[rows.pair_row_of[edge_values != 0]] = True
+        pair_i, pair_j = pair_i[read], pair_j[read]
     pair_prod, pair_pre, pair_act, pair_out = _mlp(
-        "pair", node_vecs[rows.pair_i], node_vecs[rows.pair_j], params
+        "pair", node_vecs[pair_i], node_vecs[pair_j], params
     )
+    if read is not None:  # rows that no open slot reads: zero interactions
+        read_out, pair_out = pair_out, np.zeros((read.shape[0], cfg.interaction_dim))
+        pair_out[read] = read_out
     interactions = _to_slots(pair_out, rows.pair_row_of)
 
     return Forward(
@@ -687,6 +719,7 @@ def forward_batch(
         pair_act=pair_act,
         interactions=interactions,
         **_aggregate(layout, edge_values, interactions, params),
+        open_only=open_only,
     )
 
 
@@ -725,6 +758,8 @@ def backward(
         raise ValueError("log_alpha gradient supplied for a pinned-edge trace")
     if trace.mode == "binary":
         raise ValueError("binary-gate traces are evaluation-only; no gradient exists")
+    if trace.open_only:
+        raise ValueError("open-only traces are evaluation-only; closed pairs have no interaction")
     store = params.store
     lay = trace.layout
     ids, x = lay.ids, lay.values
@@ -788,12 +823,16 @@ def score_many(
     edges: Iterable[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Raw scores in engine chunks: deterministic (or binary) gates, or
-    gates pinned to membership in `edges` (unordered feature-id pairs)."""
+    gates pinned to membership in `edges` (unordered feature-id pairs).
+    Each chunk is an open-only pass (see `forward_batch`): the pair MLP
+    runs only on the rows that a slot with a non-zero gate reads."""
+    _check_gate_source(binary_gates, None, edges)
     codes = None if edges is None else edge_codes(edges)
     scores = np.empty(len(instances))
     for start, layout in chunk_layouts(columns_of(instances)):
         pinned = None if codes is None else pinned_edges(layout, codes)
-        trace = forward_batch(layout, params, pinned_edges=pinned, binary_gates=binary_gates)
+        trace = forward_batch(layout, params, pinned_edges=pinned, binary_gates=binary_gates,
+                              open_only=True)
         scores[start : start + trace.scores.shape[0]] = trace.scores
     return scores
 

@@ -234,13 +234,15 @@ def _check_validation_split(valid: Dataset) -> np.ndarray:
 def _validate(valid: Dataset, params: ModelParams, tcfg: TrainConfig) -> tuple[np.ndarray, float]:
     """Noise-free scores of the validation set and the fraction of its pair
     slots whose deterministic gate (pinned value in the pinned modes)
-    exceeds the report threshold, from one engine pass per chunk."""
+    exceeds the report threshold, from one open-only engine pass per chunk
+    (the pair MLP skips the rows that only closed slots read)."""
     scores = np.empty(len(valid))
     open_count = total = 0
     # gathered anew every epoch: the gathers are cheap, and layouts kept
     # for the whole fit would raise its peak memory
     for start, layout in model_mod.chunk_layouts(valid.columns):
-        trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg))
+        trace = model_mod.forward_batch(layout, params, pinned_edges=_pinned(layout, tcfg),
+                                        open_only=True)
         scores[start : start + trace.scores.shape[0]] = trace.scores
         open_count += int((trace.edge_values > tcfg.gate_threshold).sum())
         total += trace.edge_values.shape[0]

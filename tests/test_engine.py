@@ -705,6 +705,135 @@ def test_score_many_matches_per_instance_scores():
                      f"score_many {sorted(kwargs)}")
 
 
+@pytest.mark.parametrize("rows", [[], [0, 1]], ids=["empty", "two-rows"])
+def test_score_many_rejects_binary_gates_with_edges_before_its_first_chunk(rows):
+    batch = ragged_batch(seed=16)
+    ds = data.Dataset([batch[r] for r in rows], vocab_size=SMALL.vocab_size)
+    params = ModelParams.random(SMALL, seed=12)
+    with pytest.raises(ValueError, match="binary gates need predicted logits; got pinned edges"):
+        model.score_many(ds, params, binary_gates=True, edges={(0, 1)})
+
+
+# ---------------------------------------------------------------------------
+# Open-only passes: the pair MLP runs only on the rows an open slot reads.
+
+FRAPPE = dataclasses.replace(SMALL, vocab_size=5382)
+CLOSINGS = ("none", "some", "all")
+
+
+def frappe_batch(seed, n=40, k=10):
+    """Frappe-shaped rows: k features of a large vocabulary, value 1 each."""
+    rng = np.random.default_rng(seed)
+    return [data.make_instance(rng.choice(FRAPPE.vocab_size, size=k, replace=False).tolist(),
+                               [1.0] * k, int(rng.integers(0, 2)))
+            for _ in range(n)]
+
+
+def closing_shift(params, log_alpha, share):
+    """Shift of `edge_out_b` that closes the deterministic gates of the
+    `share` quantile of `log_alpha` (a gate is open exactly where
+    sigmoid(log_alpha) exceeds -low / (high - low))."""
+    g = params.config.gate
+    s0 = -g.stretch_low / (g.stretch_high - g.stretch_low)
+    return np.log(s0 / (1.0 - s0)) - np.quantile(log_alpha, share)
+
+
+def gate_setting(source, closing, params, layout, rng):
+    """(params, forward_batch options) of a gate source with none, some or
+    all of the layout's gates closed."""
+    n = layout.slot_i.shape[0]
+    if source == "pinned":
+        share = {"none": 0.0, "some": 0.6, "all": 1.0}[closing]
+        return params, {"pinned_edges": rng.uniform(0.2, 1.0, n) * (rng.random(n) >= share)}
+    shifted = params.clone()
+    if closing == "some":
+        log_alpha = model.forward_batch(layout, params).log_alpha
+        shifted.value("edge_out_b")[...] += closing_shift(params, log_alpha, 0.6)
+    else:
+        shifted.value("edge_out_b")[...] += 50.0 if closing == "none" else -50.0
+    return shifted, {"binary_gates": source == "binary"}
+
+
+@pytest.mark.parametrize("closing", CLOSINGS)
+@pytest.mark.parametrize("source", ("deterministic", "binary", "pinned"))
+@pytest.mark.parametrize("shape", ("ragged", "frappe"))
+def test_open_only_pass_matches_dense_pass_and_reference(shape, source, closing):
+    config, batch = (SMALL, ragged_batch(seed=24)) if shape == "ragged" else (FRAPPE, frappe_batch(2))
+    rng = np.random.default_rng(CLOSINGS.index(closing))
+    layout = model.PairLayout.of(batch)
+    params, opts = gate_setting(source, closing, ModelParams.random(config, seed=15), layout, rng)
+    dense = model.forward_batch(layout, params, **opts)
+    trace = model.forward_batch(layout, params, open_only=True, **opts)
+    is_open = trace.edge_values != 0
+    assert {"none": is_open.all(), "some": 0.2 < is_open.mean() < 0.8,
+            "all": not is_open.any()}[closing]
+
+    bounds = np.cumsum([model.pair_count(inst.n_nodes) for inst in batch])[:-1]
+    pinned = np.split(opts.get("pinned_edges", np.zeros(layout.slot_i.shape[0])), bounds)
+    refs = [reference_forward(inst, params, binary=source == "binary",
+                              pinned=p if source == "pinned" else None)
+            for inst, p in zip(batch, pinned)]
+    contributions = model.slot_columns(trace, params)[3]
+    assert_close(trace.scores, dense.scores, "scores against the dense pass")
+    assert_close(trace.scores, [r.score for r in refs], "scores against the reference")
+    assert_close(contributions, model.slot_columns(dense, params)[3],
+                 "contributions against the dense pass")
+    assert_close(contributions, np.concatenate([reference_contributions(r, params) for r in refs]),
+                 "contributions against the reference")
+    np.testing.assert_array_equal(trace.edge_values, dense.edge_values)
+    # the pair MLP ran on the rows an open slot reads, and only on those
+    read = np.unique(trace.rows.pair_row_of[is_open])
+    assert trace.pair_pre.shape == (read.shape[0], config.hidden_dim)
+    computed = np.isin(trace.rows.pair_row_of, read)  # a closed slot may share an open row
+    assert not trace.interactions[~computed].any()
+    assert_close(trace.interactions[computed], dense.interactions[computed], "interactions read")
+    if closing == "all":
+        assert trace.pair_pre.shape[0] == 0
+        assert np.all(trace.scores == 0.0)
+    if closing == "none":  # the dense pass, bit for bit
+        for f in ("interactions", "pair_pre", "node_update", "scores"):
+            assert getattr(trace, f).tobytes() == getattr(dense, f).tobytes(), f
+        assert contributions.tobytes() == model.slot_columns(dense, params)[3].tobytes()
+    assert trace.open_only and not dense.open_only
+    with pytest.raises(ValueError, match="evaluation-only"):
+        model.backward(trace, params, 1.0)
+
+
+def test_open_only_pass_does_no_pair_mlp_work_for_closed_rows():
+    params = ModelParams.random(SMALL, seed=16)
+    layout = model.PairLayout.of(repeating_batch(seed=6, n=40, vocab=SMALL.vocab_size))
+    params.value("edge_out_b")[...] += closing_shift(
+        params, model.forward_batch(layout, params).log_alpha, 0.7)
+    units = []
+    for open_only in (False, True):
+        nc.reset_op_units()
+        trace = model.forward_batch(layout, params, open_only=open_only)
+        units.append(nc.op_units())
+    ids, x, gi, gj = layout.ids, layout.values, layout.slot_i, layout.slot_j
+    is_open = trace.edge_values != 0
+    inputs = set(zip(ids[gi], x[gi], ids[gj], x[gj]))
+    read = set(zip(ids[gi][is_open], x[gi][is_open], ids[gj][is_open], x[gj][is_open]))
+    assert 0 < len(read) < len(inputs)
+    # per row: the product (d), both layers (2 h d) and the ReLU (h)
+    d, h = SMALL.interaction_dim, SMALL.hidden_dim
+    assert units[0] - units[1] == (len(inputs) - len(read)) * (d + 2 * h * d + h)
+
+
+@pytest.mark.parametrize("mode", ["l0sign", "sign-complete", "sign-fixed"])
+def test_validation_scores_are_score_many_bit_for_bit(mode, monkeypatch):
+    monkeypatch.setattr(model, "CHUNK_SLOTS", 60)
+    rows = ragged_batch(seed=25) * 3 + repeating_batch(seed=7, n=20, vocab=SMALL.vocab_size)
+    valid = data.Dataset(rows, vocab_size=SMALL.vocab_size)
+    params = ModelParams.random(SMALL, seed=17)
+    params.value("edge_out_b")[...] -= 2.5  # some gates closed
+    every = frozenset((i, j) for i in range(SMALL.vocab_size) for j in range(i, SMALL.vocab_size))
+    some = every_pair_edge_set(np.random.default_rng(5), SMALL.vocab_size, 0.4)
+    edges = {"l0sign": None, "sign-complete": every, "sign-fixed": some}[mode]
+    tcfg = TrainConfig(mode=mode, fixed_edges=some if mode == "sign-fixed" else None)
+    scores, _ = train._validate(valid, params, tcfg)
+    assert scores.tobytes() == model.score_many(valid, params, edges=edges).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Columnar layouts: batched callers gather their layouts from a dataset's
 # CSR columns.
@@ -839,7 +968,8 @@ def expected_layout(instances):
 
 @st.composite
 def engine_cases(draw):
-    """(config, instances, rows, chunk budget, gate source, seed)."""
+    """(config, instances, rows, chunk budget, gate source, closed share,
+    seed)."""
     config = draw(st.sampled_from((SMALL, LARGE)))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
@@ -855,17 +985,22 @@ def engine_cases(draw):
         instances.append(data.make_instance(nodes, values.tolist(), int(rng.integers(0, 2))))
     rows = draw(st.lists(st.integers(0, len(ks) - 1), min_size=1, max_size=12))
     budget = draw(st.sampled_from((1, 12, 45, model.CHUNK_SLOTS)))
-    return config, instances, np.array(rows), budget, draw(st.sampled_from(GATE_SOURCES)), seed
+    source = draw(st.sampled_from(GATE_SOURCES))
+    return (config, instances, np.array(rows), budget, source,
+            draw(st.sampled_from((None, 0.5, 1.0))), seed)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(engine_cases())
 def test_drawn_batches_match_the_reference(case):
-    config, instances, rows, budget, source, seed = case
+    config, instances, rows, budget, source, closed, seed = case
     rng = np.random.default_rng(seed + 1)
     params = ModelParams.random(config, seed=seed)
     ds = data.Dataset(instances, vocab_size=config.vocab_size)
     batch = [instances[r] for r in rows.tolist()]
+    if closed is not None:  # close that share of the batch's deterministic gates
+        log_alpha = model.forward_batch(model.PairLayout.of(batch), params).log_alpha
+        params.value("edge_out_b")[...] += closing_shift(params, log_alpha, closed)
 
     layout = model.PairLayout.gather(ds.columns, rows)
     *arrays, buckets = expected_layout(batch)
