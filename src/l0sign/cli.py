@@ -301,7 +301,6 @@ def cmd_ablate(args) -> int:
         _train_config(settings),
         ratios=_parse_floats(settings.get("ratios"), name="ratios"),
         repeats=settings.get("repeats"),
-        threshold=settings.get("threshold"),
         **kwargs,
     )
     path = out / "ablation.csv"
@@ -403,7 +402,7 @@ _COMMANDS = {
              ("threshold", "split", "split_name")),
     "ablate": (cmd_ablate, "predicted-vs-reversed edge-ratio ablation",
                ("data", "out", "checkpoint"),
-               ("threshold", "split", "ratios", "repeats", "epochs", "batch", "lr", "lambda2")),
+               ("threshold", "split", "ratios", "repeats", "batch", "lr", "lambda2")),
     "explain": (cmd_explain, "export per-instance interaction explanations",
                 ("data", "out", "checkpoint"), ("split", "split_name", "count")),
     "gradcheck": (cmd_gradcheck, "finite-difference check of the gradient engine", (),
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="threshold gates to 0/1 instead of using graded values")
     cmds["eval"].add_argument("--out", help="output directory for metrics.json")
     cmds["ablate"].add_argument("--ablate-epochs", type=int,
-                                help="override epochs for the ablation retrains only")
+                                help="epochs of each ablation retrain (default 15)")
     return parser
 
 

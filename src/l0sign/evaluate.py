@@ -52,17 +52,17 @@ def auc(labels, scores) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def accuracy(labels, scores, threshold: float = 0.0) -> float:
+def accuracy(labels, scores) -> float:
     y = _as_binary_labels(labels)
     s = np.asarray(scores, dtype=np.float64)
-    return float(((s > threshold).astype(np.int64) == y).mean())
+    return float(((s > 0.0).astype(np.int64) == y).mean())
 
 
-def f1_flagged(labels, scores, threshold: float = 0.0) -> tuple[float, bool]:
+def f1_flagged(labels, scores) -> tuple[float, bool]:
     """(F1, defined). Undefined (returned as 0, False) when there are no
     predicted positives and no true positives to relate."""
     y = _as_binary_labels(labels)
-    pred = np.asarray(scores, dtype=np.float64) > threshold
+    pred = np.asarray(scores, dtype=np.float64) > 0.0
     tp = int(np.sum(pred & (y == 1)))
     fp = int(np.sum(pred & (y == 0)))
     fn = int(np.sum(~pred & (y == 1)))
@@ -75,8 +75,8 @@ def f1_flagged(labels, scores, threshold: float = 0.0) -> tuple[float, bool]:
     return 2.0 * precision * recall / (precision + recall), True
 
 
-def f1(labels, scores, threshold: float = 0.0) -> float:
-    return f1_flagged(labels, scores, threshold)[0]
+def f1(labels, scores) -> float:
+    return f1_flagged(labels, scores)[0]
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ class Metrics:
     n_samples: int
 
 
-def compute_metrics(labels, scores, threshold: float = 0.0) -> Metrics:
-    f1_value, defined = f1_flagged(labels, scores, threshold)
+def compute_metrics(labels, scores) -> Metrics:
+    f1_value, defined = f1_flagged(labels, scores)
     return Metrics(
         auc=auc(labels, scores),
-        acc=accuracy(labels, scores, threshold),
+        acc=accuracy(labels, scores),
         f1=f1_value,
         f1_defined=defined,
         n_samples=len(np.asarray(labels)),
@@ -110,14 +110,10 @@ def score_dataset(
 
 
 def evaluate_dataset(
-    dataset: Dataset,
-    params: ModelParams,
-    threshold: float = 0.0,
-    *,
-    binary_gates: bool = False,
+    dataset: Dataset, params: ModelParams, *, binary_gates: bool = False
 ) -> Metrics:
     scores = score_dataset(dataset, params, binary_gates=binary_gates)
-    return compute_metrics(dataset.labels(), scores, threshold)
+    return compute_metrics(dataset.labels(), scores)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ batched callers gather it from a dataset's columns. The instances of a
 layout are grouped by node count: within a group of k-node instances,
 slots reach their nodes through one matmul with the (k x pair_count(k))
 incidence matrix of a k-node instance, and back through its transpose.
+Above INCIDENCE_MAX_K nodes, where that matrix would cost O(k^3) memory,
+a group sums its slots into their end nodes and gathers them back instead.
 The per-instance `forward` is its batch of one.
 
 Batched passes that need no gradient (`score_many`, validation in
@@ -160,8 +162,8 @@ class ModelParams:
         return cls(config, store)
 
     @classmethod
-    def random(cls, config: ModelConfig, seed: int, scale: float = 0.7) -> "ModelParams":
-        """Every parameter ~ Normal(0, scale): a generic-position model for
+    def random(cls, config: ModelConfig, seed: int) -> "ModelParams":
+        """Every parameter ~ Normal(0, 0.7): a generic-position model for
         gradient checks and symmetry tests. The training init keeps
         embeddings small and biases zero, which parks every ReLU
         pre-activation within ~1e-4 of its kink; finite differences need to
@@ -169,7 +171,7 @@ class ModelParams:
         rng = np.random.default_rng(seed)
         store = nc.ParamStore()
         for name, shape in config.param_shapes().items():
-            store.add(name, rng.normal(0.0, scale, size=shape))
+            store.add(name, rng.normal(0.0, 0.7, size=shape))
         return cls(config, store)
 
     def clone(self) -> "ModelParams":
@@ -193,6 +195,16 @@ def pair_count(k):
     """Pair slots of an instance of k nodes, k(k+1)/2; elementwise for an
     array of node counts."""
     return k * (k + 1) // 2
+
+
+# Largest node count whose slot-node reductions use the incidence matrix.
+# M_k takes 4 k^2 (k + 1) bytes, so the cached M_k of every k up to 56 come
+# to 10.4 MB, where M_300 alone would take 108 MB. Timed on 2 CPUs, numpy
+# 2.4.6, one BLAS thread, for one instance with d = 8 (the reductions of one
+# forward and backward pass), the matmul against the end-node sums and
+# gathers took 0.09 against 0.16 ms at k = 48, 0.13 against 0.21 ms at
+# k = 56, 0.30 against 0.27 ms at k = 64 and 3.4 against 1.0 ms at k = 128.
+INCIDENCE_MAX_K = 56
 
 
 @lru_cache(maxsize=256)
@@ -286,9 +298,10 @@ class PairLayout:
     an instance (self-pairs included, lexicographic order within the
     instance) is one slot that addresses two global node indices
     `slot_i <= slot_j`. The instances are grouped by node count into
-    `buckets`; within a bucket of k nodes, the reductions from slots to
-    nodes and back are one matmul with the incidence matrix M_k, and an
-    instance's score is the mean of its block of node readouts.
+    `buckets`; within a bucket of k <= INCIDENCE_MAX_K nodes, the
+    reductions from slots to nodes and back are one matmul with the
+    incidence matrix M_k, and an instance's score is the mean of its block
+    of node readouts.
     `distinct_rows` finds the layout's distinct MLP inputs. Batched callers
     gather their layouts from a dataset's columns (`gather`); `of` reads
     the columns of the instances it is given. A layout of one instance
@@ -492,7 +505,8 @@ def _to_rows(slot_values: np.ndarray, row_of: np.ndarray, n_rows: int) -> np.nda
 
 
 # Between the slots of a layout and its nodes, one incidence matmul per
-# node-count bucket.
+# node-count bucket of at most INCIDENCE_MAX_K nodes; wider buckets go
+# through the end nodes of their slots.
 
 def _slots_to_nodes(layout: PairLayout, slot_values: np.ndarray) -> np.ndarray:
     """Per-slot values, (S,) or (S, d), summed into the end nodes of their
@@ -500,6 +514,13 @@ def _slots_to_nodes(layout: PairLayout, slot_values: np.ndarray) -> np.ndarray:
     tail = slot_values.shape[1:]
     out = np.empty(layout.ids.shape + tail)
     for b in layout.buckets:
+        if b.k > INCIDENCE_MAX_K:
+            i, j, values = layout.slot_i[b.slots], layout.slot_j[b.slots], slot_values[b.slots]
+            two = i != j  # a self-pair slot counts its node once
+            n = out.shape[0]
+            summed = _segment_sum(values, i, n) + _segment_sum(values[two], j[two], n)
+            out[b.nodes] = summed[b.nodes]
+            continue
         m = _incidence(b.k)
         block = slot_values[b.slots].reshape(-1, m.shape[1], *tail)
         out[b.nodes] = (m @ block if tail else block @ m.T).reshape(-1, *tail)
@@ -512,6 +533,13 @@ def _nodes_to_slots(layout: PairLayout, node_values: np.ndarray) -> np.ndarray:
     tail = node_values.shape[1:]
     out = np.empty(layout.slot_i.shape + tail)
     for b in layout.buckets:
+        if b.k > INCIDENCE_MAX_K:
+            i, j = layout.slot_i[b.slots], layout.slot_j[b.slots]
+            self_pair = i == j  # counts its node once
+            summed = node_values[i] + node_values[j]
+            summed[self_pair] = node_values[i[self_pair]]
+            out[b.slots] = summed
+            continue
         m = _incidence(b.k)
         block = node_values[b.nodes].reshape(-1, b.k, *tail)
         out[b.slots] = (m.T @ block if tail else block @ m).reshape(-1, *tail)
@@ -727,15 +755,13 @@ def forward(
     instance: Instance,
     params: ModelParams,
     *,
-    noise: np.ndarray | None = None,
     pinned_edges: np.ndarray | None = None,
     binary_gates: bool = False,
 ) -> Forward:
-    """`forward_batch` over one instance: the arrays hold one value per pair
-    slot (`pair_slots` order) or per node of this instance."""
+    """Noise-free `forward_batch` over one instance: the arrays hold one
+    value per pair slot (`pair_slots` order) or per node of this instance."""
     return forward_batch(
-        PairLayout.of((instance,)), params, noise=noise, pinned_edges=pinned_edges,
-        binary_gates=binary_gates,
+        PairLayout.of((instance,)), params, pinned_edges=pinned_edges, binary_gates=binary_gates,
     )
 
 
@@ -894,17 +920,9 @@ def _prediction_from(trace: Forward, params: ModelParams) -> Prediction:
     return Prediction(score=score, node_updates=trace.node_update.copy(), pairs=pairs)
 
 
-def predict(
-    instance: Instance,
-    params: ModelParams,
-    *,
-    noise: np.ndarray | None = None,
-    binary_gates: bool = False,
-) -> Prediction:
-    """Gated prediction; deterministic gates unless per-slot noise is given."""
-    return _prediction_from(
-        forward(instance, params, noise=noise, binary_gates=binary_gates), params
-    )
+def predict(instance: Instance, params: ModelParams, *, binary_gates: bool = False) -> Prediction:
+    """Gated prediction with deterministic (or binary) gates."""
+    return _prediction_from(forward(instance, params, binary_gates=binary_gates), params)
 
 
 def predict_fixed(
@@ -922,16 +940,10 @@ def predict_fixed(
 
 
 def score_only(
-    instance: Instance,
-    params: ModelParams,
-    *,
-    pinned_edges: np.ndarray | None = None,
-    binary_gates: bool = False,
+    instance: Instance, params: ModelParams, *, pinned_edges: np.ndarray | None = None
 ) -> float:
     """Raw score with deterministic (or pinned) gates, skipping analysis."""
-    return forward(
-        instance, params, pinned_edges=pinned_edges, binary_gates=binary_gates
-    ).score
+    return forward(instance, params, pinned_edges=pinned_edges).score
 
 
 def edge_logit(i, j, params: ModelParams):
@@ -953,12 +965,10 @@ def edge_logit(i, j, params: ModelParams):
     return float(logits[0]) if scalar else logits
 
 
-def make_probe_grid(
-    dim: int, n_points: int = 3, amplitude: float = 1.0, seed: int = 0
-) -> list[np.ndarray]:
-    """Random probe vectors for the additivity check."""
+def make_probe_grid(dim: int, seed: int = 0) -> list[np.ndarray]:
+    """Three standard-normal probe vectors for the additivity check."""
     rng = np.random.default_rng(seed)
-    return [amplitude * rng.standard_normal(dim) for _ in range(n_points)]
+    return [rng.standard_normal(dim) for _ in range(3)]
 
 
 def additivity_probe(

@@ -28,6 +28,8 @@ EMBEDDING_UPDATES = ("gradient", "algorithm-literal")
 STEADY_WINDOW = 3
 STEADY_TOLERANCE = 0.01
 
+KINK_MARGIN = 50.0  # `near_gradient_kink`'s safety margin, in probe steps epsilon
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -163,7 +165,7 @@ def risk(
 
 class Adagrad:
     """Deterministic per-parameter accumulated-squared-gradient descent:
-    G += g^2; p -= lr * g / (sqrt(G) + eps).
+    G += g^2; p -= lr * g / (sqrt(G) + EPS).
 
     G starts at `initial_accumulator` rather than zero. With a zero start
     the first step of every coordinate is +-lr regardless of its gradient
@@ -172,8 +174,9 @@ class Adagrad:
     nonzero floor keeps early steps proportional to gradient size.
     """
 
-    def __init__(self, store: nc.ParamStore, lr: float, eps: float = 1e-10,
-                 initial_accumulator: float = 1e-6,
+    EPS = 1e-10
+
+    def __init__(self, store: nc.ParamStore, lr: float, initial_accumulator: float = 1e-6,
                  frozen: Iterable[str] = ()) -> None:
         if lr <= 0:
             raise ValueError("lr must be positive")
@@ -181,7 +184,6 @@ class Adagrad:
             raise ValueError("initial_accumulator must be non-negative")
         self.store = store
         self.lr = float(lr)
-        self.eps = float(eps)
         self.initial_accumulator = float(initial_accumulator)
         self.frozen = frozenset(frozen)
         self.accum = {
@@ -196,7 +198,7 @@ class Adagrad:
             g = self.store.grad(name)
             acc = self.accum[name]
             acc += g * g
-            self.store.value(name)[...] -= self.lr * g / (np.sqrt(acc) + self.eps)
+            self.store.value(name)[...] -= self.lr * g / (np.sqrt(acc) + self.EPS)
 
 
 @dataclass(frozen=True)
@@ -354,15 +356,14 @@ def fit(
     )
 
 
-def _frozen_noise(
-    instance: Instance, tcfg: TrainConfig, sample_index: int, epoch: int
-) -> np.ndarray | None:
-    """The gate noise training draws for `instance` as sample `sample_index`
-    of `epoch`; None in the pinned modes, which draw none."""
+def _frozen_noise(instance: Instance, tcfg: TrainConfig, sample_index: int) -> np.ndarray | None:
+    """Gate noise for `instance` as sample `sample_index` of epoch 0 of the
+    seed's noise stream (`fit` counts epochs from 1); None in the pinned
+    modes, which draw none."""
     if tcfg.mode != "l0sign":
         return None
     return NoiseStream(tcfg.seed).uniforms(
-        epoch, [sample_index], [model_mod.pair_count(instance.n_nodes)]
+        0, [sample_index], [model_mod.pair_count(instance.n_nodes)]
     )
 
 
@@ -372,14 +373,13 @@ def instance_grad_check(
     tcfg: TrainConfig,
     *,
     sample_index: int = 0,
-    epoch: int = 0,
     epsilon: float = 1e-5,
 ) -> float:
     """Gradient check of the full single-instance risk with frozen gate noise:
     one backward pass for the analytic gradient, then the risk alone at
     each perturbation."""
     one = Dataset((instance,), params.config.vocab_size)  # its columns serve every probe
-    u = _frozen_noise(instance, tcfg, sample_index, epoch)
+    u = _frozen_noise(instance, tcfg, sample_index)
     params.store.zero_grads()
     risk(one, params, tcfg, noise=u)
     return nc.grad_check(
@@ -394,9 +394,7 @@ def near_gradient_kink(
     tcfg: TrainConfig,
     *,
     sample_index: int = 0,
-    epoch: int = 0,
     epsilon: float = 1e-5,
-    margin: float = 50.0,
 ) -> bool:
     """True when the frozen-noise forward pass sits close enough to a ReLU
     kink, a gate clamp boundary, or the degree floor that a +-epsilon
@@ -404,12 +402,12 @@ def near_gradient_kink(
 
     A bias perturbation shifts its whole pre-activation column by exactly
     epsilon and weight perturbations shift it by epsilon times the input,
-    so the safety margin is a multiple of epsilon, not an absolute
+    so the safety margin is KINK_MARGIN epsilons, not an absolute
     tolerance.
     """
-    tol = margin * epsilon
+    tol = KINK_MARGIN * epsilon
     layout = model_mod.PairLayout.of((instance,))
-    u = _frozen_noise(instance, tcfg, sample_index, epoch)
+    u = _frozen_noise(instance, tcfg, sample_index)
     trace = model_mod.forward_batch(layout, params, noise=u, pinned_edges=_pinned(layout, tcfg))
     checks = [np.min(np.abs(trace.pair_pre)) < tol]
     if trace.edge_pre is not None:
@@ -422,38 +420,41 @@ def near_gradient_kink(
 
 
 # ---------------------------------------------------------------------------
-# Training log CSV.
+# CSV tables: the training log and the ablation rows.
+
+def _save_table(path, columns: tuple[str, ...], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _load_table(path, columns: tuple[str, ...], what: str) -> list[list[str]]:
+    """The rows of a table written by `_save_table`, after its header."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != columns:
+            raise ValueError(f"unexpected {what} header {header}")
+        return list(reader)
+
 
 LOG_COLUMNS = ("epoch", "train_risk", "valid_auc", "valid_acc", "open_gate_fraction")
 
 
 def save_training_log(records: Sequence[EpochRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.epoch, repr(r.train_risk), repr(r.valid_auc), repr(r.valid_acc),
-                 repr(r.open_gate_fraction)]
-            )
+    _save_table(path, LOG_COLUMNS, (
+        [r.epoch, repr(r.train_risk), repr(r.valid_auc), repr(r.valid_acc),
+         repr(r.open_gate_fraction)]
+        for r in records
+    ))
 
 
 def load_training_log(path) -> list[EpochRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != LOG_COLUMNS:
-            raise ValueError(f"unexpected training-log header {header}")
-        return [
-            EpochRecord(
-                epoch=int(row[0]),
-                train_risk=float(row[1]),
-                valid_auc=float(row[2]),
-                valid_acc=float(row[3]),
-                open_gate_fraction=float(row[4]),
-            )
-            for row in reader
-        ]
+    return [
+        EpochRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]), float(row[4]))
+        for row in _load_table(path, LOG_COLUMNS, "training-log")
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -478,26 +479,27 @@ def run_ablation(
     *,
     ratios: Sequence[float] = (0.2, 0.4, 0.6, 0.8, 1.0),
     repeats: int = 5,
-    threshold: float = 0.5,
-    epochs: int | None = 15,
+    epochs: int = 15,
 ) -> list[AblationRow]:
     """For each edge source and ratio, retrain with gates pinned to a sampled
     subset (lambda1 = 0, edge side untouched) `repeats` times and report
-    test AUC/ACC per repeat plus the mean row.
+    test AUC/ACC per repeat plus the mean row. The predicted edges are the
+    co-occurring pairs whose deterministic gate exceeds
+    `tcfg.gate_threshold`; the reversed ones are the rest.
 
-    `epochs` caps each retrain (None: the full tcfg.epochs); with fixed
-    gates the aggregation side converges in far fewer epochs than the gated
-    model, and the study runs 2 * len(ratios) * repeats retrains."""
+    `epochs` caps each retrain; with fixed gates the aggregation side
+    converges in far fewer epochs than the gated model, and the study runs
+    2 * len(ratios) * repeats retrains."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    if epochs is not None and epochs < 1:
+    if epochs < 1:
         raise ValueError(f"ablation epochs must be at least 1, got {epochs}")
     for ratio in ratios:
         if not 0.0 < ratio <= 1.0:
             raise ValueError(f"ratios must lie in (0, 1], got {ratio}")
     i, j, _ = evaluate.pair_table(train_ds)
     logits = model_mod.edge_logit(i, j, trained)
-    is_open = gates.eval_deterministic(logits, trained.config.gate) > threshold
+    is_open = gates.eval_deterministic(logits, trained.config.gate) > tcfg.gate_threshold
     sources = {
         "predicted": list(zip(i[is_open].tolist(), j[is_open].tolist())),
         "reversed": list(zip(i[~is_open].tolist(), j[~is_open].tolist())),
@@ -522,7 +524,7 @@ def run_ablation(
                     fixed_edges=subset,
                     lambda1=0.0,
                     seed=tcfg.seed + rep,
-                    epochs=epochs if epochs is not None else tcfg.epochs,
+                    epochs=epochs,
                 )
                 result = fit(train_ds, valid_ds, trained.config, run_cfg)
                 scores = model_mod.score_many(test_ds, result.params, edges=subset)
@@ -552,29 +554,16 @@ ABLATION_COLUMNS = ("source", "ratio", "repeat", "auc", "acc")
 
 
 def save_ablation(rows: Sequence[AblationRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ABLATION_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [r.source, repr(r.ratio), "mean" if r.repeat is None else r.repeat,
-                 repr(r.auc), repr(r.acc)]
-            )
+    _save_table(path, ABLATION_COLUMNS, (
+        [r.source, repr(r.ratio), "mean" if r.repeat is None else r.repeat,
+         repr(r.auc), repr(r.acc)]
+        for r in rows
+    ))
 
 
 def load_ablation(path) -> list[AblationRow]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != ABLATION_COLUMNS:
-            raise ValueError(f"unexpected ablation header {header}")
-        return [
-            AblationRow(
-                source=row[0],
-                ratio=float(row[1]),
-                repeat=None if row[2] == "mean" else int(row[2]),
-                auc=float(row[3]),
-                acc=float(row[4]),
-            )
-            for row in reader
-        ]
+    return [
+        AblationRow(row[0], float(row[1]), None if row[2] == "mean" else int(row[2]),
+                    float(row[3]), float(row[4]))
+        for row in _load_table(path, ABLATION_COLUMNS, "ablation")
+    ]

@@ -93,7 +93,7 @@ def test_acceptance_3_additivity_probe(capsys):
         inst = data.make_instance(ids, rng.uniform(0.5, 1.5, 4), 1)
         pi, pj = model.pair_slots(4)
         edges = rng.integers(0, 2, size=pi.shape[0]).astype(float)
-        probes = model.make_probe_grid(cfg.interaction_dim, n_points=3, seed=seed)
+        probes = model.make_probe_grid(cfg.interaction_dim, seed=seed)
         for slot in range(pi.shape[0]):
             a, b = int(pi[slot]), int(pj[slot])
             if a == b:

@@ -542,3 +542,15 @@ def test_commands_that_never_read_the_threshold_reject_it(capsys, argv):
         cli.main(argv + ["--threshold", "0.9"])
     assert exc.value.code == 2
     assert "--threshold" in capsys.readouterr().err
+
+
+def test_ablate_rejects_the_epochs_flag(synth_dir, trained_dir, tmp_path, capsys):
+    """The retrains run --ablate-epochs epochs; --epochs would change nothing."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ablate", "--data", str(synth_dir / "data.txt"),
+                  "--checkpoint", str(trained_dir / "model.ckpt"), "--out", str(tmp_path),
+                  "--ablate-epochs", "1", "--repeats", "1", "--ratios", "1.0",
+                  "--epochs", "3"])
+    assert exc.value.code == 2
+    assert "--epochs" in capsys.readouterr().err
+    assert not (tmp_path / "ablation.csv").exists()

@@ -513,7 +513,7 @@ def test_one_instance_layout_runs_its_mlps_on_exactly_its_slots(monkeypatch):
         assert rows.pair_j is rows.edge_j is layout.slot_j
         assert rows.pair_row_of is rows.edge_row_of
         np.testing.assert_array_equal(rows.pair_row_of, np.arange(n_slots))
-        trace = model.forward(inst, params, noise=np.full(n_slots, 0.3))
+        trace = model.forward_batch(layout, params, noise=np.full(n_slots, 0.3))
         assert trace.pair_pre.shape == trace.edge_pre.shape == (n_slots, SMALL.hidden_dim)
         assert trace.interactions.shape == (n_slots, SMALL.interaction_dim)
         model.backward(trace, params, 1.0)
@@ -604,6 +604,41 @@ def test_engine_matches_reference_on_uniform_and_mixed_chunks(monkeypatch):
     assert_close([got.total, got.loss, got.l0, got.l2], want, "risk parts")
     for block in model.PARAM_ORDER:
         assert_close(got_grads[block], want_grads[block], block)
+
+
+def test_buckets_above_the_incidence_cap_match_the_reference(monkeypatch):
+    """Buckets of more than INCIDENCE_MAX_K nodes go through the end nodes
+    of their slots, and no incidence matrix above the cap is built."""
+    cap = 4
+    monkeypatch.setattr(model, "INCIDENCE_MAX_K", cap)
+    built, incidence = [], model._incidence
+    monkeypatch.setattr(model, "_incidence", lambda k: built.append(k) or incidence(k))
+    params = ModelParams.random(SMALL, seed=18)
+    instances = ragged_batch(seed=24, sizes=(9, 1, 5, 7, 2, 4, 8, 3, 6, 5, 9))
+    refs = [reference_forward(inst, params) for inst in instances]
+    # one layout of mixed buckets (index arrays), then one per instance (slices)
+    layouts = [(0, model.PairLayout.of(instances))]
+    layouts += [(n, model.PairLayout.of((inst,))) for n, inst in enumerate(instances)]
+    for first, layout in layouts:
+        trace = model.forward_batch(layout, params)
+        want = refs[first : first + layout.counts.shape[0]]
+        assert_close(trace.scores, [r.score for r in want], "scores")
+        assert_close(model.slot_columns(trace, params)[3],
+                     np.concatenate([reference_contributions(r, params) for r in want]),
+                     "contributions")
+
+    tcfg, _ = risk_modes()["l0sign-noise"]
+    batch = list(enumerate(instances))
+    want, want_grads = grads_of(params, lambda: reference_risk(batch, params, tcfg, epoch=1,
+                                                               noise_seed=tcfg.seed))
+    for budget in (10**6, 30):  # one chunk, then many
+        monkeypatch.setattr(model, "CHUNK_SLOTS", budget)
+        got, got_grads = grads_of(params, lambda: engine_risk(batch, params, tcfg, epoch=1,
+                                                              noise_seed=tcfg.seed))
+        assert_close([got.total, got.loss, got.l0, got.l2], want, f"risk parts, budget {budget}")
+        for block in model.PARAM_ORDER:
+            assert_close(got_grads[block], want_grads[block], f"{block}, budget {budget}")
+    assert built and max(built) <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -968,8 +1003,8 @@ def expected_layout(instances):
 
 @st.composite
 def engine_cases(draw):
-    """(config, instances, rows, chunk budget, gate source, closed share,
-    seed)."""
+    """(config, instances, rows, chunk budget, incidence cap, gate source,
+    closed share, seed)."""
     config = draw(st.sampled_from((SMALL, LARGE)))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
@@ -985,15 +1020,16 @@ def engine_cases(draw):
         instances.append(data.make_instance(nodes, values.tolist(), int(rng.integers(0, 2))))
     rows = draw(st.lists(st.integers(0, len(ks) - 1), min_size=1, max_size=12))
     budget = draw(st.sampled_from((1, 12, 45, model.CHUNK_SLOTS)))
+    cap = draw(st.sampled_from((0, 4, model.INCIDENCE_MAX_K)))
     source = draw(st.sampled_from(GATE_SOURCES))
-    return (config, instances, np.array(rows), budget, source,
+    return (config, instances, np.array(rows), budget, cap, source,
             draw(st.sampled_from((None, 0.5, 1.0))), seed)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(engine_cases())
 def test_drawn_batches_match_the_reference(case):
-    config, instances, rows, budget, source, closed, seed = case
+    config, instances, rows, budget, cap, source, closed, seed = case
     rng = np.random.default_rng(seed + 1)
     params = ModelParams.random(config, seed=seed)
     ds = data.Dataset(instances, vocab_size=config.vocab_size)
@@ -1030,7 +1066,8 @@ def test_drawn_batches_match_the_reference(case):
     refs = [reference_forward(inst, params, binary=binary, pinned=None if score_edges is None
                               else reference_edges(inst, score_edges)) for inst in batch]
     codes = None if score_edges is None else model.edge_codes(score_edges)
-    with mock.patch.object(model, "CHUNK_SLOTS", budget):
+    with mock.patch.object(model, "CHUNK_SLOTS", budget), \
+            mock.patch.object(model, "INCIDENCE_MAX_K", cap):
         assert_close(model.score_many(batch, params, edges=score_edges, binary_gates=binary),
                      [r.score for r in refs], "score_many")
         chunks = [model.slot_columns(model.forward_batch(

@@ -225,7 +225,7 @@ def test_forward_stochastic_uses_sampled_gates():
     params = ModelParams.random(SMALL, seed=3)
     inst = random_instance(rng, SMALL.vocab_size, k=4)
     u = rng.uniform(0.05, 0.95, size=model.pair_count(4))
-    trace = model.forward(inst, params, noise=u)
+    trace = model.forward_batch(model.PairLayout.of((inst,)), params, noise=u)
     assert trace.mode == "stochastic"
     want = gates.sample_array(trace.log_alpha, u)
     np.testing.assert_allclose(trace.edge_values, want.value, atol=1e-14)
@@ -370,7 +370,7 @@ def probe_setup(seed, gate_value):
     inst = random_instance(rng, SMALL.vocab_size, k=4)
     edges = np.ones(model.pair_count(4))
     edges[1] = gate_value  # slot (0, 1)
-    probes = model.make_probe_grid(SMALL.interaction_dim, n_points=3, seed=seed)
+    probes = model.make_probe_grid(SMALL.interaction_dim, seed=seed)
     return inst, params, edges, probes
 
 
@@ -449,7 +449,7 @@ def test_additivity_probe_matches_the_slot_loop(separable):
         n_slots = model.pair_count(k)
         edges = rng.uniform(0.0, 1.0, size=n_slots) * (rng.random(n_slots) < 0.7)
         si, sj = sorted(rng.choice(k, size=2, replace=False).tolist())
-        probes = model.make_probe_grid(SMALL.interaction_dim, n_points=3, seed=seed)
+        probes = model.make_probe_grid(SMALL.interaction_dim, seed=seed)
         got = model.additivity_probe(inst, params, edges, (si, sj), probes, probes,
                                      interaction_fn=fn if separable else None)
         want = reference_probe(inst, params, edges, (si, sj), probes, probes,
@@ -598,14 +598,14 @@ def test_binary_gate_prediction_still_decomposes_exactly():
     params = ModelParams.init(SMALL, seed=11)
     pred = model.predict(inst, params, binary_gates=True)
     assert sum(p.contribution for p in pred.pairs) == pytest.approx(pred.score, abs=1e-9)
-    assert model.score_only(inst, params, binary_gates=True) == pred.score
 
 
 def test_binary_gates_reject_noise_and_pinned_edges():
     inst = data.make_instance([0, 1], [1.0, 1.0], 1)
     params = ModelParams.init(SMALL, seed=0)
     with pytest.raises(ValueError, match="noise"):
-        model.forward(inst, params, noise=np.full(3, 0.5), binary_gates=True)
+        model.forward_batch(model.PairLayout.of((inst,)), params, noise=np.full(3, 0.5),
+                            binary_gates=True)
     with pytest.raises(ValueError, match="pinned"):
         model.forward(inst, params, pinned_edges=np.ones(3), binary_gates=True)
 

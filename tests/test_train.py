@@ -156,9 +156,9 @@ def test_adagrad_zero_gradient_is_a_no_op():
 
 
 def test_adagrad_constant_gradient_closed_form():
-    g, lr, g0, eps = 0.25, 0.05, 1e-3, 1e-10
+    g, lr, g0, eps = 0.25, 0.05, 1e-3, Adagrad.EPS
     store = constant_gradient_store(2.0)
-    opt = Adagrad(store, lr=lr, eps=eps, initial_accumulator=g0)
+    opt = Adagrad(store, lr=lr, initial_accumulator=g0)
     want = 2.0
     for t in range(1, 8):
         store.zero_grads()
